@@ -12,7 +12,7 @@ module G = Granii_graph
 module Executor = Granii_core.Executor
 module Serve = Granii_serve.Serve
 module Ssim = Granii_serve.Sim
-module Plan_cache = Granii_serve.Plan_cache
+module Plan_cache = Granii_core.Plan_cache
 
 let value_bits_equal a b =
   match (a, b) with
@@ -183,7 +183,7 @@ let run () =
     if k = 0 then (acc_off, acc_on)
     else begin
       let off = run_obs Obs.disabled in
-      let on_obs = Obs.create ~trace:false ~costmon:false () in
+      let on_obs = Obs.create ~trace:false () in
       let on = run_obs on_obs in
       (match on_obs.Obs.journal with
       | Some j -> journal_events := !journal_events + Obs.Journal.total j

@@ -285,7 +285,7 @@ let select_cmd =
                 $(b,workspace)=on|off, $(b,cache)=on|off, \
                 $(b,locality)=<strategy>+<format>, \
                 $(b,intermediates)=keep|drop, \
-                $(b,calibration)=off|affine|refit. Omitted keys keep their \
+                $(b,calibration)=off|affine. Omitted keys keep their \
                 defaults; a $(b,locality) key forces the layout (otherwise \
                 selection's choice is used). Illegal combinations are \
                 rejected up front with a typed error. $(b,--engine show) \
@@ -391,7 +391,7 @@ let select_cmd =
         Locality.default :: List.filter (fun c -> not (Locality.is_default c)) cross
       else cross
     in
-    (* a locality= key in --engine overrides the joint argmin's layout axis;
+    (* a locality= key in --engine replaces the joint argmin's layout axis;
        a cache without one restricts the search to the default layout (the
        only one a cache-enabled engine can legally execute) *)
     let configs =
@@ -559,11 +559,10 @@ let stats_cmd =
          & info [ "calibration" ] ~docv:"POLICY"
              ~doc:
                "Online-calibration policy of the engine's cost oracle: \
-                $(b,off), $(b,affine) (per-primitive corrections fitted from \
-                the live (predicted, measured) stream) or $(b,refit) (affine \
-                plus incremental GBRT refits). A calibration table (base vs \
-                corrected error and rank inversions per primitive) is \
-                reported after the run.")
+                $(b,off) or $(b,affine) (per-primitive corrections fitted \
+                from the live (predicted, measured) stream). A calibration \
+                table (base vs corrected error and rank inversions per \
+                primitive) is reported after the run.")
   in
   let run model graph k_in k_out iterations threads calibration trace_file
       metrics_file journal_file =
@@ -575,7 +574,8 @@ let stats_cmd =
       match Cost_oracle.calibration_of_string calibration with
       | Some c -> c
       | None ->
-          Printf.eprintf "--calibration expects off, affine or refit\n";
+          Printf.eprintf "--calibration: %s\n"
+            (Engine.error_to_string (Engine.Invalid_calibration calibration));
           exit 1
     in
     let obs = Obs.create () in
@@ -671,9 +671,6 @@ let stats_cmd =
               name count (1000. *. sum) (1000. *. min_) (1000. *. max_))
           (Obs.Metrics.histograms m);
         print_newline ());
-    (match obs.Obs.costmon with
-    | None -> ()
-    | Some cm -> Format.printf "%a@." Obs.Cost_monitor.pp cm);
     (* the engine's oracle saw every (predicted, measured) pair the run
        produced; force one calibration pass so the table shows the fitted
        corrections even on short runs *)
@@ -1063,8 +1060,7 @@ let serve_sim_cmd =
       s.Serve.widened_steps;
     let pc = s.Serve.plan_cache in
     Printf.printf "plan cache  %d hits / %d misses / %d evictions\n"
-      pc.Granii_serve.Plan_cache.hits pc.Granii_serve.Plan_cache.misses
-      pc.Granii_serve.Plan_cache.evictions;
+      pc.Plan_cache.hits pc.Plan_cache.misses pc.Plan_cache.evictions;
     Printf.printf "backpressure retries %d\n" res.Ssim.retries;
     if Obs.Sketch.count sketch > 0 then
       Printf.printf

@@ -26,8 +26,6 @@ let compile ?hoist ?degree_leaves ~name (pruned : Prune.result) =
 let for_scenario t scenario =
   List.filter (fun c -> List.mem scenario c.scenarios) t.candidates
 
-let needs_cost_models t scenario = List.length (for_scenario t scenario) > 1
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>def %s(graph, feats, k_in, k_out):@," t.model_name;
   List.iter

@@ -26,9 +26,5 @@ val compile :
 val for_scenario : t -> Dim.scenario -> ccand list
 (** Candidates whose annotation allows the scenario. *)
 
-val needs_cost_models : t -> Dim.scenario -> bool
-(** [false] when the scenario condition alone already narrows the dispatch
-    to a single candidate (the cheap Fig. 7 fast path). *)
-
 val pp : Format.formatter -> t -> unit
 (** Fig. 7-style pseudocode of the generated conditional dispatch. *)

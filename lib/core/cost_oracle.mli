@@ -6,15 +6,14 @@
     ({!Cost_model}), the layout adjustment (formerly in {!Locality}) and the
     report-only accuracy monitor ({!Granii_obs.Obs.Cost_monitor}). An oracle
     wraps a base predictor (analytic | learned | flops) and closes the loop:
-    live (predicted, measured) pairs flow into its monitor via {!observe},
-    and every [fit_every] observations a calibration pass fits a
-    per-primitive affine correction in log space (and, under [Refit],
-    incrementally refits per-primitive GBRTs from the stored inputs). A
-    candidate model is swapped in only when it passes the A/B guard: it must
-    strictly reduce Kendall rank inversions (ties broken by mean |log
-    error|) on a held-out slice of the newest pairs — the quantity plan
-    selection actually depends on. Every accepted swap pushes a versioned
-    snapshot, so a regressing oracle can be rolled back.
+    live (predicted, measured) pairs flow into its monitor — the one pair
+    store of the system — via {!observe}, and every [fit_every]
+    observations a calibration pass fits a per-primitive affine correction
+    in log space. A candidate model is swapped in only when it passes the
+    A/B guard: it must strictly reduce Kendall rank inversions (ties broken
+    by mean |log error|) on a held-out slice of the newest pairs — the
+    quantity plan selection actually depends on. Every accepted swap pushes
+    a versioned snapshot, so a regressing oracle can be rolled back.
 
     With calibration {!Off} — the default — an oracle is a pure reader of
     its base model: no correction entries exist and every prediction is
@@ -24,12 +23,10 @@
 
 type calibration =
   | Off     (** never fit; predictions are exactly the base model's *)
-  | Affine  (** per-primitive [exp (a + b ln p)] corrections only *)
-  | Refit   (** affine corrections plus incremental per-primitive GBRT
-                refits from stored featurized inputs *)
+  | Affine  (** per-primitive [exp (a + b ln p)] corrections *)
 
 val calibration_to_string : calibration -> string
-(** ["off"] | ["affine"] | ["refit"] — the engine config axis rendering. *)
+(** ["off"] | ["affine"] — the engine config axis rendering. *)
 
 val calibration_of_string : string -> calibration option
 
@@ -39,17 +36,15 @@ type t
 
 val of_model :
   ?calibration:calibration -> ?fit_every:int -> ?min_pairs:int ->
-  ?obs:Granii_obs.Obs.t -> ?monitor:Granii_obs.Obs.Cost_monitor.t ->
-  ?drift:Granii_obs.Obs.Drift.t -> Cost_model.t -> t
+  ?obs:Granii_obs.Obs.t -> ?drift:Granii_obs.Obs.Drift.t -> Cost_model.t ->
+  t
 (** Wrap a base predictor. [calibration] defaults to {!Off}; [fit_every]
     (default [64]) is how many {!observe} calls separate automatic
     calibration passes; [min_pairs] (default [8]) is the fewest positive
-    pairs a primitive needs before it participates in a fit. [monitor] is
-    the pair store — inject the engine's live
-    {!Granii_obs.Obs.Cost_monitor} to calibrate from execution telemetry; a
-    fresh private monitor is created otherwise. [obs] (default
+    pairs a primitive needs before it participates in a fit. The oracle
+    owns its pair store, a {!Granii_obs.Obs.Cost_monitor}. [obs] (default
     {!Granii_obs.Obs.disabled}) receives the [calibrate.*] spans and
-    counters plus the journal's drift/calibrate events. [drift] overrides
+    counters plus the journal's drift/calibrate events. [drift] replaces
     the drift detector watching the corrected |log error| stream; by
     default a calibrating oracle gets
     [Obs.Drift.create ~level:(log 2.) "oracle.logerr"] (sustained 2x
@@ -69,8 +64,8 @@ val load : string -> t
 
 val save : t -> string -> unit
 (** Persist the {e base} model ({!Cost_model.save}; raises
-    [Invalid_argument] on ablation bases). Corrections and overrides are
-    runtime state and are not persisted. *)
+    [Invalid_argument] on ablation bases). Corrections are runtime state
+    and are not persisted. *)
 
 (** {1 Accessors} *)
 
@@ -88,10 +83,6 @@ val name : t -> string
 
 val version : t -> int
 (** Accepted calibration passes so far; [0] = pristine base model. *)
-
-val monitor : t -> Granii_obs.Obs.Cost_monitor.t
-(** The pair store {!observe} feeds (physically the engine's live monitor
-    when one was injected). *)
 
 val observed : t -> int
 (** Total {!observe} calls. *)
@@ -112,10 +103,9 @@ val corrected : t -> prim:string -> float -> float
 (** {1 Prediction} *)
 
 val predict : t -> Featurizer.t -> env:Dim.env -> Primitive.t -> float
-(** Predicted runtime of one primitive instance: the per-primitive GBRT
-    override if a refit installed one, else the base model (learned GBRT,
-    analytic roofline with the featurized thread count, or FLOP count),
-    then the affine correction. With no correction and no override this is
+(** Predicted runtime of one primitive instance: the base model (learned
+    GBRT, analytic roofline with the featurized thread count, or FLOP
+    count), then the affine correction. With no correction this is
     bit-for-bit the old [Cost_model.predict]. *)
 
 val predict_plan :
@@ -136,7 +126,7 @@ val predict_kernels :
     profile ({!Granii_hw.Hw_profile.cpu} for the flops ablation) —
     {e uncorrected}, because this produces the [predicted] half of the
     monitor pairs the corrections are fitted against (a corrected feed
-    would chase its own tail). Used by the executor's cost monitor. *)
+    would chase its own tail). Used by the executor's per-step feed. *)
 
 val kernel_time :
   ?threads:int -> ?gather_discount:float -> Granii_hw.Hw_profile.t ->
@@ -153,12 +143,6 @@ val layout_time :
   Locality.config -> float
 (** Analytic cost of the one-time {!Locality.layout_kernels} passes. *)
 
-val kernel_delta :
-  ?threads:int -> Granii_hw.Hw_profile.t -> Granii_graph.Graph_features.t ->
-  Locality.config -> Granii_hw.Kernel_model.kernel -> float
-(** Predicted cost change (localized minus baseline) for one kernel; nonzero
-    only for the gather-bound g-kernels (SpMM, SDDMM). *)
-
 val plan_adjustment :
   ?threads:int -> Granii_hw.Hw_profile.t ->
   stats:Granii_graph.Graph_features.t -> env:Dim.env -> iterations:int ->
@@ -169,18 +153,17 @@ val plan_adjustment :
 
 (** {1 The feedback loop} *)
 
-val observe :
-  ?input:float array -> t -> prim:string -> predicted:float ->
-  measured:float -> unit
+val observe : t -> prim:string -> predicted:float -> measured:float -> unit
 (** Feed one (predicted, measured) pair — [predicted] must be the {e raw}
-    (uncorrected) prediction. The pair lands in {!monitor}; [input] (the
-    featurized model input) additionally lands in the refit sample store.
-    Every [fit_every] calls, when calibration is not {!Off}, a calibration
-    pass runs inline. Each positive pair also feeds the oracle's drift
-    detector with the {e corrected} |log error|; when the detector fires,
-    a [calibrate.drift.fired] counter and a journal [Drift] event are
-    emitted and a calibration pass runs immediately, without waiting for
-    the [fit_every] cadence. *)
+    (uncorrected) prediction. The pair lands in the oracle's pair store —
+    the only one: the executor, the serving runtime and the trainer all
+    record through here — which {!calibrate} fits from and {!report}
+    reads. Every [fit_every] calls, when calibration is not {!Off}, a
+    calibration pass runs inline. Each positive pair also feeds the
+    oracle's drift detector with the {e corrected} |log error|; when the
+    detector fires, a [calibrate.drift.fired] counter and a journal [Drift]
+    event are emitted and a calibration pass runs immediately, without
+    waiting for the [fit_every] cadence. *)
 
 type pass_outcome = {
   fitted_prims : string list;   (** primitives with enough pairs to fit *)
@@ -190,8 +173,6 @@ type pass_outcome = {
   current_err : float;          (** pooled mean |ln (corrected/measured)| *)
   candidate_err : float;
   accepted : bool;              (** did the candidate pass the A/B guard *)
-  refit_prims : string list;    (** primitives whose GBRT override was
-                                    accepted this pass ([Refit] only) *)
   version_after : int;
 }
 
@@ -211,7 +192,6 @@ type snapshot = {
   snap_version : int;  (** the version the snapshot captured *)
   snap_note : string;
   snap_corrections : (string * (float * float)) list;
-  snap_overrides : (string * Granii_ml.Gbrt.t) list;
 }
 
 val snapshots : t -> snapshot list
@@ -235,7 +215,7 @@ type prim_report = {
   rp_base_inv : int;      (** within-primitive inversions, raw *)
   rp_corrected_inv : int;
   rp_inv_pairs : int;     (** comparable pairs behind the inversion counts *)
-  rp_corrected : bool;    (** a correction or override is installed *)
+  rp_corrected : bool;    (** a correction is installed *)
 }
 
 type report = {

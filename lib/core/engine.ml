@@ -39,6 +39,7 @@ type error =
   | Invalid_queue_bound of int
   | Invalid_batch_window of int
   | Invalid_format of string
+  | Invalid_calibration of string
   | Bsr_with_reorder of Locality.config
 
 exception Error of error
@@ -72,6 +73,9 @@ let error_to_string = function
       Printf.sprintf
         "engine: unknown sparse format %s (expected csr, hybrid, bsr or cbm)"
         f
+  | Invalid_calibration c ->
+      Printf.sprintf
+        "engine: unknown calibration policy %s (expected off or affine)" c
   | Bsr_with_reorder c ->
       Printf.sprintf
         "engine: the bsr format cannot be combined with ordering %s (tiles \
@@ -106,17 +110,23 @@ let cache_create () =
 
 let cache_stats c = (c.cache_hits, c.cache_misses)
 
-(* Cheap structural fingerprint: exact counts plus a bounded hash of the
-   adjacency arrays. [Hashtbl.hash_param] walks at most the given number of
-   array elements, so this stays O(1) on huge graphs while still catching
-   any realistic accidental graph swap. *)
+(* Exact structural identity: exact counts plus an MD5 digest of every
+   [row_ptr] and [col_idx] entry. A sampled hash is not enough — two graphs
+   that differ only past the sampled prefix would share coalescing keys,
+   plan-cache entries and subtree-cache bindings. *)
 let graph_fingerprint (g : Granii_graph.Graph.t) =
   let adj = g.Granii_graph.Graph.adj in
-  Printf.sprintf "n=%d;nnz=%d;rp=%d;ci=%d"
+  let rp = adj.Csr.row_ptr and ci = adj.Csr.col_idx in
+  let nr = Array.length rp in
+  let buf = Bytes.create (8 * (nr + Array.length ci)) in
+  Array.iteri (fun i x -> Bytes.set_int64_le buf (8 * i) (Int64.of_int x)) rp;
+  Array.iteri
+    (fun i x -> Bytes.set_int64_le buf (8 * (nr + i)) (Int64.of_int x))
+    ci;
+  Printf.sprintf "n=%d;nnz=%d;%s"
     (Granii_graph.Graph.n_nodes g)
     (Granii_graph.Graph.n_edges g)
-    (Hashtbl.hash_param 256 256 adj.Csr.row_ptr)
-    (Hashtbl.hash_param 256 256 adj.Csr.col_idx)
+    (Digest.to_hex (Digest.bytes buf))
 
 let cache_bind_graph c (g : Granii_graph.Graph.t) =
   let fp = graph_fingerprint g in
@@ -226,18 +236,14 @@ let create ?pool ?workspace ?cache ?obs ?oracle (cfg : config) =
             else if cfg.journal then
               (* journal-only sink: the always-on production journal does
                  not drag the full metrics/trace machinery along *)
-              Obs.create ~trace:false ~metrics:false ~costmon:false
-                ~journal:true ()
+              Obs.create ~trace:false ~metrics:false ~journal:true ()
             else Obs.disabled
       in
       let oracle =
         match oracle with
         | Some o -> o
         | None ->
-            (* the calibration feed is the live monitor when telemetry is
-               on, so execution telemetry and the oracle see one pair store *)
             Cost_oracle.of_model ~calibration:cfg.calibration ~obs
-              ?monitor:obs.Obs.costmon
               (Cost_model.analytic Granii_hw.Hw_profile.cpu)
       in
       Result.ok { cfg; pool; owns_pool; ws; cache_; obs; oracle }
@@ -375,10 +381,6 @@ let config_of_string s =
           | "calibration" -> (
               match Cost_oracle.calibration_of_string v with
               | Some c -> Ok { cfg with calibration = c }
-              | None ->
-                  Error
-                    (Printf.sprintf
-                       "engine spec: calibration expects off|affine|refit (got %s)"
-                       v))
+              | None -> Error (error_to_string (Invalid_calibration v)))
           | _ -> Error (Printf.sprintf "engine spec: unknown key %s" key)))
     (Ok default_config) fields

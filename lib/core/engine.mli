@@ -35,8 +35,9 @@ type config = {
           the moment its last reader retires (requires the workspace) *)
   telemetry : bool;
       (** attach a live {!Granii_obs.Obs} sink (tracing + metrics +
-          cost-model monitor); off = the zero-overhead {!Granii_obs.Obs.disabled}
-          sink *)
+          journal) and feed every measured step's (predicted, measured)
+          pair to the oracle's pair store; off = the zero-overhead
+          {!Granii_obs.Obs.disabled} sink *)
   queue_bound : int;
       (** serving axis: per-tenant admission-queue capacity (requests); the
           serving runtime rejects with [Queue_full] beyond it. Must be
@@ -81,6 +82,9 @@ type error =
   | Invalid_format of string
       (** unknown sparse-format name on the locality axis (expected [csr],
           [hybrid], [bsr] or [cbm]) *)
+  | Invalid_calibration of string
+      (** unknown policy name on the calibration axis (expected [off] or
+          [affine]) *)
   | Bsr_with_reorder of Locality.config
       (** [bsr] with a non-identity ordering: tiles accumulate in
           column-sorted order, but reordered matrices keep source entry
@@ -119,8 +123,9 @@ val create :
     all-on {!Granii_obs.Obs.create}; an injected
     {!Granii_obs.Obs.disabled} keeps telemetry off. Without an injected
     [oracle], the engine builds one over the analytic host-CPU base model
-    with the config's [calibration] policy, feeding off the live
-    cost-monitor when telemetry is on. *)
+    with the config's [calibration] policy. The oracle owns the one
+    (predicted, measured) pair store; the executor feeds it when telemetry
+    is on or calibration is not {!Cost_oracle.Off}. *)
 
 val create_exn :
   ?pool:Granii_tensor.Parallel.t -> ?workspace:Granii_tensor.Workspace.t ->
@@ -150,8 +155,9 @@ val obs : t -> Granii_obs.Obs.t
     for telemetry or a live sink was injected. *)
 
 val oracle : t -> Cost_oracle.t
-(** The engine's cost-prediction layer. Executor telemetry feeds it the
-    per-step (predicted, measured) pairs when calibration is on. *)
+(** The engine's cost-prediction layer. The executor feeds it the
+    per-step (predicted, measured) pairs when telemetry is on or
+    calibration is not {!Cost_oracle.Off}. *)
 
 val calibration : t -> Cost_oracle.calibration
 
@@ -190,15 +196,14 @@ val config_of_string : string -> (config, string) result
     Keys: [threads] (int), [workspace]/[cache]/[telemetry] (on|off),
     [locality] (<identity|degree|bfs|rcm>+<csr|hybrid|bsr|cbm>),
     [intermediates] (keep|drop), [queue_bound] (int), [batch_window]
-    (int, microseconds), [calibration] (off|affine|refit), [journal]
-    (on|off). An unknown format name reports the {!Invalid_format}
-    message. *)
+    (int, microseconds), [calibration] (off|affine), [journal] (on|off).
+    An unknown format name reports the {!Invalid_format} message, an
+    unknown calibration policy the {!Invalid_calibration} message. *)
 
 (** {2 Structural fingerprinting} (shared with the serving plan cache) *)
 
 val graph_fingerprint : Granii_graph.Graph.t -> string
-(** Cheap structural fingerprint of a graph: exact node/edge counts plus a
-    bounded hash of the adjacency arrays ([Hashtbl.hash_param] walks at most
-    256 elements, so this is O(1) on huge graphs). Used by the subtree
-    cache's graph binding and as the graph component of the serving layer's
-    plan-cache key. *)
+(** Exact structural identity of a graph: node/edge counts plus a digest of
+    every [row_ptr] and [col_idx] entry of the adjacency, O(n + nnz). Used
+    by the subtree cache's graph binding and as the graph component of the
+    serving layer's coalescing and plan-cache keys. *)

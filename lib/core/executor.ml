@@ -68,16 +68,37 @@ let step_span_enter tr (s : Plan.step) =
   | None -> None
   | Some t -> Some (Obs.Trace.enter t ~cat:"step" (Primitive.name s.Plan.prim))
 
-let step_span_exit tr sp ~threads ~ctx (s : Plan.step) args v elapsed =
-  match (tr, sp) with
+(* Whether this engine's measured steps feed (predicted, measured) pairs to
+   its oracle: when telemetry is on (the pairs back the accuracy report) or
+   the oracle calibrates from them. *)
+let feeds_oracle engine =
+  (Engine.config engine).Engine.telemetry
+  || Cost_oracle.calibration (Engine.oracle engine) <> Cost_oracle.Off
+
+(* Every sink of one executed step. [paired] marks a step that was really
+   executed and wall-clock timed: its raw (uncorrected) analytic prediction
+   under the oracle's base profile goes to the oracle with the measurement,
+   before the span closes, so a calibration pass it triggers nests inside
+   the step. Then the step's span, journal record and histogram, each
+   guarded first on its component so a disabled sink costs one option
+   match and allocates nothing. *)
+let step_done ~engine ~paired sp ~threads ~ctx (s : Plan.step) graph args v
+    elapsed =
+  let obs = Engine.obs engine in
+  if paired then begin
+    let oracle = Engine.oracle engine in
+    let predicted =
+      Cost_oracle.predict_kernels oracle ~threads
+        (Dispatch.kernels_of_step s.Plan.prim graph args v)
+    in
+    Cost_oracle.observe oracle ~prim:(Primitive.name s.Plan.prim) ~predicted
+      ~measured:elapsed
+  end;
+  (match (obs.Obs.trace, sp) with
   | Some t, Some sp ->
       Obs.Trace.exit_ t ~dur:elapsed ~attrs:(step_attrs ~threads ~ctx s args v)
         sp
-  | _ -> ()
-
-let step_observe (obs : Obs.t) (s : Plan.step) elapsed =
-  (* guard-first on each component so a disabled sink costs one option
-     match and allocates nothing *)
+  | _ -> ());
   (match obs.Obs.journal with
   | None -> ()
   | Some j ->
@@ -87,33 +108,6 @@ let step_observe (obs : Obs.t) (s : Plan.step) elapsed =
   | None -> ()
   | Some m ->
       Obs.Metrics.observe m ("step." ^ Primitive.name s.Plan.prim) elapsed
-
-(* Predicted-vs-measured pair for the cost oracle and the cost-model
-   monitor: the raw (uncorrected) analytic prediction under the oracle's
-   base profile against the wall clock — only computed when the monitor is
-   live or calibration is on, and only for genuinely measured steps. With
-   calibration on, [Cost_oracle.observe] records into the oracle's pair
-   store (physically the live monitor, when telemetry is on) and triggers
-   the periodic fit; a live monitor that is {e not} the oracle's store is
-   still fed directly, so report-only telemetry keeps working alongside a
-   privately-calibrating injected oracle. *)
-let costmon_record ~engine ~threads (s : Plan.step) graph args v measured =
-  let obs = Engine.obs engine in
-  let oracle = Engine.oracle engine in
-  let calibrating = Cost_oracle.calibration oracle <> Cost_oracle.Off in
-  if obs.Obs.costmon <> None || calibrating then begin
-    let prim = Primitive.name s.Plan.prim in
-    let predicted =
-      Cost_oracle.predict_kernels oracle ~threads
-        (Dispatch.kernels_of_step s.Plan.prim graph args v)
-    in
-    if calibrating then Cost_oracle.observe oracle ~prim ~predicted ~measured;
-    match obs.Obs.costmon with
-    | Some cm when (not calibrating) || not (cm == Cost_oracle.monitor oracle)
-      ->
-        Obs.Cost_monitor.record cm ~prim ~predicted ~measured
-    | _ -> ()
-  end
 
 let bracket_span tr ~cat name =
   match tr with None -> None | Some t -> Some (Obs.Trace.enter t ~cat name)
@@ -225,6 +219,7 @@ let exec_prepared ~seed ~engine ~timing ~graph ~bindings (prep : Pass.prepared) 
           (Liveness.dead_after lv i)
   in
   let threads = Engine.threads engine in
+  let feed = feeds_oracle engine in
   let setup_time = ref 0. and iteration_time = ref 0. in
   let per_step = ref [] in
   Array.iteri
@@ -240,32 +235,30 @@ let exec_prepared ~seed ~engine ~timing ~graph ~bindings (prep : Pass.prepared) 
         Obs.count obs
           (match cached with Some _ -> "cache.hits" | None -> "cache.misses")
           1;
-      let value, elapsed =
+      let value, elapsed, paired =
         match (cached, timing) with
         | Some (v, measured), Measure ->
             (* the work is genuinely skipped; charge what it cost when it ran *)
-            (v, measured)
+            (v, measured, false)
         | Some (v, _), Simulate profile ->
             (* simulated jitter is seeded per step index, which differs
                between plans — recompute the analytic time for THIS step so
                a cache hit is timing-transparent in Simulate mode *)
-            (v, analytic_time ~threads ~seed profile s graph args v)
+            (v, analytic_time ~threads ~seed profile s graph args v, false)
         | None, Measure ->
             let v, t =
               Timer.measure_wall (fun () ->
                   Dispatch.exec ctx s.Plan.prim graph args)
             in
             Engine.cache_insert engine s.Plan.skey v t;
-            costmon_record ~engine ~threads s graph args v t;
-            (v, t)
+            (v, t, feed)
         | None, Simulate profile ->
             let v = Dispatch.exec ctx s.Plan.prim graph args in
             let t = analytic_time ~threads ~seed profile s graph args v in
             Engine.cache_insert engine s.Plan.skey v t;
-            (v, t)
+            (v, t, false)
       in
-      step_span_exit tr sp ~threads ~ctx s args value elapsed;
-      step_observe obs s elapsed;
+      step_done ~engine ~paired sp ~threads ~ctx s graph args value elapsed;
       slots.(s.Plan.idx) <- Some value;
       (* setup outputs are iteration-stable: candidates for the localized form *)
       if s.Plan.phase = Plan.Setup then Pass.Layout.register lstate value;
@@ -379,6 +372,9 @@ let exec_iterations ?(seed = 0) ?disable ~engine ~timing ~graph ~bindings
   in
   let per_step_time = Array.make n 0. in
   let threads = Engine.threads engine in
+  let paired =
+    match timing with Measure -> feeds_oracle engine | Simulate _ -> false
+  in
   let exec_step (s : Plan.step) args =
     let sp = step_span_enter tr s in
     let v, t =
@@ -386,15 +382,12 @@ let exec_iterations ?(seed = 0) ?disable ~engine ~timing ~graph ~bindings
       | Measure ->
           let t0 = Timer.wall () in
           let v = Dispatch.exec ctx s.Plan.prim graph args in
-          let t = Timer.wall () -. t0 in
-          costmon_record ~engine ~threads s graph args v t;
-          (v, t)
+          (v, Timer.wall () -. t0)
       | Simulate profile ->
           let v = Dispatch.exec ctx s.Plan.prim graph args in
           (v, analytic_time ~threads ~seed profile s graph args v)
     in
-    step_span_exit tr sp ~threads ~ctx s args v t;
-    step_observe obs s t;
+    step_done ~engine ~paired sp ~threads ~ctx s graph args v t;
     (v, t)
   in
   let is_iter =

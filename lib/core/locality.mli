@@ -56,7 +56,7 @@ val gather_discount :
 val layout_kernels :
   n:int -> nnz:int -> config -> Granii_hw.Kernel_model.kernel list
 (** The one-time counting-scatter passes the configuration requires. The
-    timed counterparts ([layout_time], [kernel_delta], [plan_adjustment])
-    live on {!Cost_oracle} — this module only describes the structure. *)
+    timed counterparts ([layout_time], [plan_adjustment]) live on
+    {!Cost_oracle} — this module only describes the structure. *)
 
 val pp : Format.formatter -> config -> unit

@@ -57,13 +57,6 @@ val select_localized :
     [configs] to force a configuration (the CLI's
     [--reorder]/[--format]). *)
 
-val rank_localized :
-  oracle:Cost_oracle.t -> feats:Featurizer.t -> env:Dim.env ->
-  iterations:int -> ?configs:Locality.config list -> Codegen.t ->
-  (Codegen.ccand * Locality.config * float * float) list
-(** Every (candidate, config) pair as [(cand, config, base, adjusted)],
-    cheapest adjusted cost first. *)
-
 val measure :
   ?seed:int -> ?pool:Granii_tensor.Parallel.t -> ?obs:Granii_obs.Obs.t ->
   timing:Executor.timing -> graph:Granii_graph.Graph.t ->

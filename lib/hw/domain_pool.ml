@@ -7,10 +7,6 @@ let threads = Parallel.threads
 let shutdown = Parallel.shutdown
 let default_threads = Parallel.default_threads
 
-let with_pool ?threads f =
-  let pool = create ?threads () in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
-
 (* The shared pool backing `--threads N` style entry points: created on first
    use at the requested width, torn down only with the process. Re-requesting
    a different width replaces it (executors hold no reference across calls). *)

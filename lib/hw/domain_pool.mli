@@ -18,9 +18,6 @@ val shutdown : t -> unit
 val default_threads : unit -> int
 (** [GRANII_THREADS] if set, else [Domain.recommended_domain_count ()]. *)
 
-val with_pool : ?threads:int -> (t -> 'a) -> 'a
-(** [with_pool f] runs [f] with a fresh pool and always shuts it down. *)
-
 val shared_pool : ?threads:int -> unit -> t
 (** The lazily-created process-wide pool. Requesting a different width
     replaces (and shuts down) the previous shared pool. *)

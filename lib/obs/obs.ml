@@ -651,15 +651,6 @@ module Cost_monitor = struct
       (summaries t);
     Buffer.add_string b "\n}\n";
     Buffer.contents b
-
-  let pp ppf (t : t) =
-    Format.fprintf ppf "%-16s %6s %14s %16s@." "primitive" "runs"
-      "mean|log err|" "rank inversions";
-    List.iter
-      (fun s ->
-        Format.fprintf ppf "%-16s %6d %14.3f %10d/%d@." s.prim s.n
-          s.mean_abs_log_err s.rank_inversions s.pairs_compared)
-      (summaries t)
 end
 
 (* ---- lock-free per-domain event journal ---- *)
@@ -1190,24 +1181,20 @@ end
 type t = {
   trace : Trace.t option;
   metrics : Metrics.t option;
-  costmon : Cost_monitor.t option;
   journal : Journal.t option;
 }
 
-let disabled = { trace = None; metrics = None; costmon = None; journal = None }
+let disabled = { trace = None; metrics = None; journal = None }
 
-let create ?(trace = true) ?(metrics = true) ?(costmon = true)
-    ?(journal = true) ?journal_capacity () =
+let create ?(trace = true) ?(metrics = true) ?(journal = true)
+    ?journal_capacity () =
   { trace = (if trace then Some (Trace.create ()) else None);
     metrics = (if metrics then Some (Metrics.create ()) else None);
-    costmon = (if costmon then Some (Cost_monitor.create ()) else None);
     journal =
       (if journal then Some (Journal.create ?capacity:journal_capacity ())
        else None) }
 
-let enabled t =
-  t.trace <> None || t.metrics <> None || t.costmon <> None
-  || t.journal <> None
+let enabled t = t.trace <> None || t.metrics <> None || t.journal <> None
 
 let tracing t = t.trace <> None
 
@@ -1224,11 +1211,6 @@ let gauge t name v =
 
 let observe t name v =
   match t.metrics with None -> () | Some m -> Metrics.observe m name v
-
-let record_cost t ~prim ~predicted ~measured =
-  match t.costmon with
-  | None -> ()
-  | Some cm -> Cost_monitor.record cm ~prim ~predicted ~measured
 
 (* Journal an event. Cold-path convenience: hot paths should guard on
    [t.journal <> None] BEFORE computing the tag/value so a disabled sink

@@ -3,10 +3,12 @@
     quantile sketches and drift detectors (DESIGN.md §11, §16).
 
     An {!t} is the sink an {!Granii_core.Engine.t} carries; each of its
-    four components is independently optional, and {!disabled} — the
+    three components is independently optional, and {!disabled} — the
     default — makes every recording entry point a cheap no-op (one option
     match, no allocation), so an untelemetered run is indistinguishable
-    from the pre-observability executor.
+    from the pre-observability executor. The {!Cost_monitor} is not a sink
+    component: it is the pair store owned by
+    {!Granii_core.Cost_oracle}.
 
     Span and metric recording entry points are for the {e orchestrating}
     thread only (like the workspace arena). The {!Journal} is the one
@@ -160,8 +162,6 @@ module Cost_monitor : sig
   (** Sorted by primitive name. *)
 
   val to_json : t -> string
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** {1 Event journal} *)
@@ -313,16 +313,15 @@ end
 type t = {
   trace : Trace.t option;
   metrics : Metrics.t option;
-  costmon : Cost_monitor.t option;
   journal : Journal.t option;
 }
 
 val disabled : t
-(** All four components off; every helper below is a no-op. *)
+(** All three components off; every helper below is a no-op. *)
 
 val create :
-  ?trace:bool -> ?metrics:bool -> ?costmon:bool -> ?journal:bool ->
-  ?journal_capacity:int -> unit -> t
+  ?trace:bool -> ?metrics:bool -> ?journal:bool -> ?journal_capacity:int ->
+  unit -> t
 (** A live sink; each component defaults to on. *)
 
 val enabled : t -> bool
@@ -336,7 +335,6 @@ val span : t -> ?cat:string -> ?attrs:(string * string) list -> string ->
 val count : t -> string -> int -> unit
 val gauge : t -> string -> float -> unit
 val observe : t -> string -> float -> unit
-val record_cost : t -> prim:string -> predicted:float -> measured:float -> unit
 
 val event : t -> Journal.kind -> tag:string -> v:float -> unit
 (** Journal an event when the journal is on. Hot paths should guard on

@@ -11,6 +11,7 @@ module Selector = Granii_core.Selector
 module Featurizer = Granii_core.Featurizer
 module Cost_oracle = Granii_core.Cost_oracle
 module Locality = Granii_core.Locality
+module Plan_cache = Granii_core.Plan_cache
 module Plan = Granii_core.Plan
 module Dim = Granii_core.Dim
 module Codegen = Granii_core.Codegen

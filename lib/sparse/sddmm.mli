@@ -14,7 +14,7 @@ val run :
     positions, each multiplied ({m \otimes}) by the mask value. [a] is
     [n_rows]x[k], [b] is [k]x[n_cols]. The result has [mask]'s structure and
     is weighted. Wide feature dimensions are accumulated in cache-resident
-    strips ([?tile_k] overrides the strip width); tiled and untiled kernels
+    strips ([?tile_k] sets the strip width); tiled and untiled kernels
     are bitwise identical. Raises [Invalid_argument] on dimension
     mismatches. *)
 

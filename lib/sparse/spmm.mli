@@ -14,7 +14,7 @@ val run : ?semiring:Granii_tensor.Semiring.t -> ?pool:Granii_tensor.Parallel.t -
     cheaper unweighted aggregation. Raises [Invalid_argument] on an inner
     dimension mismatch. With [?pool], output rows are chunked with the
     nonzero-balanced partitioner and computed in parallel. Wide feature
-    dimensions are processed in cache-resident strips ([?tile_k] overrides
+    dimensions are processed in cache-resident strips ([?tile_k] sets
     the strip width, mainly for testing). Tiled, untiled, and parallel
     kernels are all bitwise identical on every semiring. With [?ws], the
     output buffer comes from the workspace. *)

@@ -458,9 +458,6 @@ let log_softmax_rows ?pool ?ws m =
 
 let sum m = Array.fold_left ( +. ) 0. m.data
 
-let frobenius m =
-  sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0. m.data)
-
 let row_sums m =
   Vector.init m.rows (fun i ->
       let acc = ref 0. in

@@ -129,8 +129,6 @@ val log_softmax_rows : ?pool:Parallel.t -> ?ws:Workspace.t -> t -> t
 
 val sum : t -> float
 
-val frobenius : t -> float
-
 val row_sums : t -> Vector.t
 
 val col_sums : t -> Vector.t

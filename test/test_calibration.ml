@@ -79,9 +79,7 @@ let test_guard_rejects_no_improvement () =
   | None -> Alcotest.fail "calibration pass found no primitive to fit"
   | Some o ->
       check_true "a perfect model leaves nothing to win"
-        (not o.Cost_oracle.accepted);
-      check_true "no refits on a rejected pass"
-        (o.Cost_oracle.refit_prims = []));
+        (not o.Cost_oracle.accepted));
   check_true "version unchanged" (Cost_oracle.version oracle = 0);
   check_true "no correction installed"
     (Cost_oracle.correction oracle "spmm" = None);
@@ -148,42 +146,6 @@ let test_rollback () =
   check_true "no second snapshot to restore"
     (not (Cost_oracle.rollback oracle))
 
-let test_refit_policy () =
-  (* Refit = affine corrections plus guarded per-primitive GBRT overrides
-     fitted from stored inputs; the pass-level guard semantics are
-     unchanged, and any adopted override is for a fitted primitive. The
-     32-observation feed is a sustained misprediction, exactly what the
-     default drift detector exists to catch — it would recalibrate
-     mid-feed (that loop has its own tests in test_observability.ml), so
-     a never-firing detector keeps the explicit pass below the first. *)
-  let quiet = Granii_obs.Obs.Drift.create ~lambda:infinity "off" in
-  let oracle =
-    Cost_oracle.of_model ~calibration:Cost_oracle.Refit ~fit_every:1000
-      ~drift:quiet (Cost_model.analytic Hw.Hw_profile.cpu)
-  in
-  for i = 1 to 16 do
-    let p = float_of_int i *. 1e-3 in
-    Cost_oracle.observe ~input:[| p; 1. |] oracle ~prim:"spmm" ~predicted:p
-      ~measured:(20. *. p)
-  done;
-  for i = 1 to 16 do
-    let p = (float_of_int i +. 0.5) *. 1e-3 in
-    Cost_oracle.observe ~input:[| p; 2. |] oracle ~prim:"gemm" ~predicted:p
-      ~measured:(0.01 *. p)
-  done;
-  match Cost_oracle.calibrate oracle with
-  | None -> Alcotest.fail "calibration pass found no primitive to fit"
-  | Some o ->
-      check_true "the crossed feed is accepted under Refit too"
-        o.Cost_oracle.accepted;
-      check_true "refits only for fitted primitives"
-        (List.for_all
-           (fun p -> List.mem p o.Cost_oracle.fitted_prims)
-           o.Cost_oracle.refit_prims);
-      check_true "predictions stay positive and finite"
-        (let c = Cost_oracle.corrected oracle ~prim:"spmm" 5e-3 in
-         Float.is_finite c && c > 0.)
-
 let test_construction_validation () =
   let base = Cost_model.analytic Hw.Hw_profile.cpu in
   List.iter
@@ -205,7 +167,7 @@ let test_construction_validation () =
         (Cost_oracle.calibration_of_string s = expect))
     [ ("off", Some Cost_oracle.Off);
       ("affine", Some Cost_oracle.Affine);
-      ("refit", Some Cost_oracle.Refit);
+      ("refit", None);
       ("sometimes", None) ];
   List.iter
     (fun c ->
@@ -213,7 +175,7 @@ let test_construction_validation () =
         (Cost_oracle.calibration_of_string
            (Cost_oracle.calibration_to_string c)
         = Some c))
-    [ Cost_oracle.Off; Cost_oracle.Affine; Cost_oracle.Refit ]
+    [ Cost_oracle.Off; Cost_oracle.Affine ]
 
 let test_engine_threads_oracle () =
   (* the engine owns an oracle configured by the calibration axis, and an
@@ -226,15 +188,67 @@ let test_engine_threads_oracle () =
     (Cost_oracle.calibration (Engine.oracle e) = Cost_oracle.Affine);
   Engine.shutdown e;
   let injected =
-    Cost_oracle.of_model ~calibration:Cost_oracle.Refit
+    Cost_oracle.of_model ~calibration:Cost_oracle.Affine
       (Cost_model.analytic Hw.Hw_profile.cpu)
   in
   let e = Engine.create_exn ~oracle:injected Engine.default_config in
   check_true "injected oracle is the one stored"
     (Engine.oracle e == injected);
   check_true "config normalized from the injected oracle"
-    ((Engine.config e).Engine.calibration = Cost_oracle.Refit);
+    ((Engine.config e).Engine.calibration = Cost_oracle.Affine);
   Engine.shutdown e
+
+(* The executor feeds the oracle's pair store exactly once per measured,
+   executed step, and only when telemetry is on or calibration is not Off:
+   the report's run counts are the number of such steps per primitive. *)
+let test_single_feed () =
+  let graph, bindings, plan = Test_obs.setup ~k_in:9 ~k_out:7 in
+  let runs e =
+    List.map
+      (fun r -> (r.Cost_oracle.rp_prim, r.Cost_oracle.rp_runs))
+      (Cost_oracle.report (Engine.oracle e)).Cost_oracle.per_prim
+  in
+  let per_prim steps =
+    let names =
+      List.map (fun (s : Plan.step) -> Primitive.name s.Plan.prim) steps
+    in
+    List.map
+      (fun p -> (p, List.length (List.filter (String.equal p) names)))
+      (List.sort_uniq compare names)
+  in
+  let exec ?(timing = Executor.Measure) e =
+    ignore (Executor.exec ~engine:e ~timing ~graph ~bindings plan)
+  in
+  let telemetry = { Engine.default_config with telemetry = true } in
+  let e = Engine.create_exn telemetry in
+  exec e;
+  check_true "telemetry on: one run per executed step"
+    (runs e = per_prim plan.Plan.steps);
+  let e = Engine.create_exn telemetry in
+  ignore
+    (Executor.exec_iterations ~engine:e ~timing:Executor.Measure ~graph
+       ~bindings ~iterations:3 plan);
+  let iter_steps =
+    List.concat_map
+      (fun (s : Plan.step) ->
+        match s.Plan.phase with
+        | Plan.Setup -> [ s ]
+        | Plan.Per_iteration -> [ s; s; s ])
+      plan.Plan.steps
+  in
+  check_true "exec_iterations: one run per executed step"
+    (runs e = per_prim iter_steps);
+  let e = Engine.create_exn Engine.default_config in
+  exec e;
+  check_true "telemetry and calibration off: no runs" (runs e = []);
+  let e = Engine.create_exn telemetry in
+  exec ~timing:(Executor.Simulate Hw.Hw_profile.cpu) e;
+  check_true "Simulate timing: no runs" (runs e = []);
+  let e = Engine.create_exn { telemetry with cache = true } in
+  exec e;
+  let first = runs e in
+  exec e;
+  check_true "subtree-cache hits: no runs" (runs e = first)
 
 let test_micro_probe () =
   check_true "non-positive budget rejected"
@@ -288,11 +302,11 @@ let suite =
       test_off_is_inert;
     Alcotest.test_case "rollback restores the pre-swap state" `Quick
       test_rollback;
-    Alcotest.test_case "Refit policy keeps the guard semantics" `Quick
-      test_refit_policy;
     Alcotest.test_case "construction and policy-string validation" `Quick
       test_construction_validation;
     Alcotest.test_case "engine threads the calibration axis" `Quick
       test_engine_threads_oracle;
+    Alcotest.test_case "the executor feeds the oracle once per step" `Quick
+      test_single_feed;
     Alcotest.test_case "micro-probe is bounded and clamped" `Quick
       test_micro_probe ]

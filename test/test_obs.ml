@@ -327,7 +327,7 @@ let test_disabled_sink_bitwise_identical () =
 
 let test_cache_counters_ground_truth () =
   let graph, bindings, plan = setup ~k_in:9 ~k_out:7 in
-  let obs = Obs.create ~trace:false ~costmon:false () in
+  let obs = Obs.create ~trace:false () in
   let engine =
     Engine.create_exn ~obs { Engine.default_config with cache = true }
   in

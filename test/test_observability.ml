@@ -224,7 +224,7 @@ let test_drift_detector () =
 (* ---- drift-triggered out-of-cadence calibration (the oracle loop) ---- *)
 
 let test_drift_triggered_calibration () =
-  let obs = Obs.create ~trace:false ~costmon:false () in
+  let obs = Obs.create ~trace:false () in
   (* fit_every is effectively infinite: only the drift detector can start a
      calibration pass here *)
   let drift =
@@ -389,7 +389,7 @@ let test_journal_bitwise_invisible () =
     Executor.exec ~engine:(Engine.default ()) ~timing:Executor.Measure ~graph
       ~bindings plan
   in
-  let obs = Obs.create ~trace:false ~costmon:false () in
+  let obs = Obs.create ~trace:false () in
   let engine = Engine.create_exn ~obs Engine.default_config in
   let r =
     Executor.exec ~engine ~timing:Executor.Measure ~graph ~bindings plan

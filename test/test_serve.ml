@@ -19,7 +19,7 @@ module Mp = Granii_mp
 module Gnn = Granii_gnn
 module Serve = Granii_serve.Serve
 module Batch = Granii_serve.Batch
-module Plan_cache = Granii_serve.Plan_cache
+module Plan_cache = Granii_core.Plan_cache
 module Obs = Granii_obs.Obs
 
 let stress n =
@@ -194,6 +194,44 @@ let test_coalescing () =
       Serve.drain t;
       let s = Serve.stats t in
       check_int "incompatible widths stay separate" 3 s.Serve.batches)
+
+(* ---- exact graph identity: late-differing graphs never coalesce ---- *)
+
+let test_exact_graph_identity () =
+  (* a 400-node ring plus one chord; the two graphs differ only in one
+     col_idx entry far past the first 256 adjacency entries *)
+  let ring_plus chord =
+    G.Graph.of_edges ~name:"ring" ~n:400
+      (chord :: List.init 400 (fun i -> (i, (i + 1) mod 400)))
+  in
+  let g1 = ring_plus (350, 300) and g2 = ring_plus (350, 320) in
+  check_true "the fingerprints differ"
+    (Engine.graph_fingerprint g1 <> Engine.graph_fingerprint g2);
+  let t = Serve.create Serve.default_config in
+  Fun.protect ~finally:(fun () -> Serve.shutdown t) (fun () ->
+      Serve.register_graph t ~name:"g1" g1;
+      Serve.register_graph t ~name:"g2" g2;
+      let features = Dense.random ~seed:7 400 8 in
+      let tickets =
+        List.map
+          (fun graph ->
+            match
+              Serve.submit t ~tenant:"a" ~graph ~model:"gcn" ~k_out:4 ~features
+            with
+            | Ok tk -> (graph, tk)
+            | Error r -> Alcotest.fail (Serve.reject_to_string r))
+          [ "g1"; "g2" ]
+      in
+      Serve.drain t;
+      List.iter
+        (fun (graph, tk) ->
+          match Serve.poll t tk with
+          | None -> Alcotest.fail "ticket not completed"
+          | Some r ->
+              check_true (graph ^ ": bitwise equal to the oracle")
+                (Test_engine.value_bits_equal r.Serve.value
+                   (Serve.oracle t ~graph ~model:"gcn" ~k_out:4 ~features)))
+        tickets)
 
 (* ---- plan cache through the server: hand-counted hits/misses ---- *)
 
@@ -571,6 +609,8 @@ let suite =
       test_batch_differential;
     Alcotest.test_case "coalescing: N requests, one invocation" `Quick
       test_coalescing;
+    Alcotest.test_case "exact graph identity: no cross-graph coalescing"
+      `Quick test_exact_graph_identity;
     Alcotest.test_case "plan cache: served hits/misses vs hand count" `Quick
       test_plan_cache_counts;
     Alcotest.test_case "plan cache: layout axis keys plans" `Quick
