@@ -35,7 +35,7 @@ let run_arm ?obs (graph : G.Graph.t) ~model ~k_in ~k_out ~clients ~requests
   let cfg =
     { Serve.default_config with
       workers;
-      batching;
+      max_batch = (if batching then Serve.default_config.Serve.max_batch else 1);
       batch_window = window;
       plan_cache = (if cache then Serve.default_config.Serve.plan_cache else 0) }
   in

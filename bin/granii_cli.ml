@@ -267,14 +267,6 @@ let select_cmd =
                 on this machine's CPU (random features) and report measured \
                 times plus per-iteration GC allocation.")
   in
-  let workspace =
-    Arg.(value & flag
-         & info [ "workspace" ]
-             ~doc:
-               "With $(b,--execute), run iterations out of a buffer-reuse \
-                workspace arena: outputs are bitwise identical, steady-state \
-                allocation drops to zero.")
-  in
   let engine_spec =
     Arg.(value & opt (some string) None
          & info [ "engine" ] ~docv:"SPEC"
@@ -284,7 +276,7 @@ let select_cmd =
                 $(b,Engine.config_of_string): $(b,threads)=N, \
                 $(b,workspace)=on|off, $(b,cache)=on|off, \
                 $(b,locality)=<strategy>+<format>, \
-                $(b,intermediates)=keep|drop, \
+                $(b,intermediates)=keep|drop, $(b,telemetry)=on|off, \
                 $(b,calibration)=off|affine. Omitted keys keep their \
                 defaults; a $(b,locality) key forces the layout (otherwise \
                 selection's choice is used). Illegal combinations are \
@@ -308,7 +300,7 @@ let select_cmd =
                 tiles) or $(b,cbm) (neighbor-dedup delta rows).")
   in
   let run model graph k_in k_out profile iterations system analytic auto_calibrate
-      threads models_file execute workspace engine_spec reorder format_
+      threads models_file execute engine_spec reorder format_
       trace_file metrics_file journal_file =
     if threads < 1 then begin
       Printf.eprintf "--threads expects a positive integer\n";
@@ -330,9 +322,6 @@ let select_cmd =
           | Error msg ->
               Printf.eprintf "--engine: %s\n" msg;
               exit 1)
-    in
-    let engine_base =
-      { engine_base with workspace = engine_base.Engine.workspace || workspace }
     in
     (match Engine.create engine_base with
     | Ok e -> Engine.shutdown e
@@ -467,9 +456,7 @@ let select_cmd =
                 (Plan.primitives c.Codegen.plan))))
       ranked;
     (match execute with
-    | None ->
-        if workspace then
-          Printf.eprintf "note: --workspace only matters with --execute N\n"
+    | None -> ()
     | Some iters when iters < 1 ->
         Printf.eprintf "--execute expects a positive integer\n";
         exit 1
@@ -532,7 +519,7 @@ let select_cmd =
        ~doc:"Run the online stage: featurize an input and rank the candidates")
     Term.(const run $ model_pos $ graph $ k_in $ k_out $ hw $ iterations $ system
           $ analytic $ auto_calibrate $ threads $ models_file $ execute
-          $ workspace $ engine_spec $ reorder $ format_ $ trace_file_arg
+          $ engine_spec $ reorder $ format_ $ trace_file_arg
           $ metrics_file_arg $ journal_file_arg)
 
 (* granii stats: a fully-telemetered end-to-end run (compile -> featurize ->
@@ -974,7 +961,8 @@ let serve_sim_cmd =
   let no_batch =
     Arg.(value & flag
          & info [ "no-batch" ]
-             ~doc:"Disable request coalescing (every execution has width 1).")
+             ~doc:"Disable request coalescing (every execution has width 1; \
+                   the same as $(b,--max-batch) 1).")
   in
   let no_plan_cache =
     Arg.(value & flag
@@ -1013,9 +1001,8 @@ let serve_sim_cmd =
         workers;
         queue_bound;
         batch_window = window;
-        max_batch;
+        max_batch = (if no_batch then 1 else max_batch);
         plan_cache = (if no_plan_cache then 0 else Serve.default_config.Serve.plan_cache);
-        batching = not no_batch;
         threads;
         slo_ms = slo }
     in

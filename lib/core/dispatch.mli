@@ -96,7 +96,3 @@ val kernels_of_step :
 (** The analytic kernels of one executed step, sized from the actual operand
     values (so sampling or precomputed sparse intermediates are charged
     their true nnz) — the basis of [Simulate]-mode timing. *)
-
-(**/**)
-
-val diag_to_csr : ?ws:Granii_tensor.Workspace.t -> float array -> Granii_sparse.Csr.t

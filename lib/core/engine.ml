@@ -13,10 +13,7 @@ type config = {
   locality : Locality.config;
   keep_intermediates : bool;
   telemetry : bool;
-  queue_bound : int;
-  batch_window : int;
   calibration : Cost_oracle.calibration;
-  journal : bool;
 }
 
 let default_config =
@@ -26,18 +23,13 @@ let default_config =
     locality = Locality.default;
     keep_intermediates = true;
     telemetry = false;
-    queue_bound = 64;
-    batch_window = 0;
-    calibration = Cost_oracle.Off;
-    journal = false }
+    calibration = Cost_oracle.Off }
 
 type error =
   | Invalid_threads of int
   | Cache_with_locality of Locality.config
   | Workspace_cache_discard
   | Cache_graph_mismatch of { expected : string; got : string }
-  | Invalid_queue_bound of int
-  | Invalid_batch_window of int
   | Invalid_format of string
   | Invalid_calibration of string
   | Bsr_with_reorder of Locality.config
@@ -61,14 +53,6 @@ let error_to_string = function
          graph %s (cached values are only valid for one (graph, bindings) \
          pair)"
         expected got
-  | Invalid_queue_bound q ->
-      Printf.sprintf
-        "engine: queue_bound must be >= 1 (got %d) — the serving runtime \
-         needs at least one admission slot per tenant"
-        q
-  | Invalid_batch_window w ->
-      Printf.sprintf
-        "engine: batch_window must be >= 0 microseconds (got %d)" w
   | Invalid_format f ->
       Printf.sprintf
         "engine: unknown sparse format %s (expected csr, hybrid, bsr or cbm)"
@@ -185,8 +169,6 @@ let validate (cfg : config) =
     Some (Bsr_with_reorder cfg.locality)
   else if cfg.workspace && cfg.cache && not cfg.keep_intermediates then
     Some Workspace_cache_discard
-  else if cfg.queue_bound < 1 then Some (Invalid_queue_bound cfg.queue_bound)
-  else if cfg.batch_window < 0 then Some (Invalid_batch_window cfg.batch_window)
   else None
 
 let create ?pool ?workspace ?cache ?obs ?oracle (cfg : config) =
@@ -200,9 +182,6 @@ let create ?pool ?workspace ?cache ?obs ?oracle (cfg : config) =
       telemetry =
         (cfg.telemetry
         || match obs with Some o -> Obs.enabled o | None -> false);
-      journal =
-        (cfg.journal
-        || match obs with Some o -> o.Obs.journal <> None | None -> false);
       calibration =
         (match oracle with
         | Some o -> Cost_oracle.calibration o
@@ -232,11 +211,7 @@ let create ?pool ?workspace ?cache ?obs ?oracle (cfg : config) =
         match obs with
         | Some o -> o
         | None ->
-            if cfg.telemetry then Obs.create ~journal:cfg.journal ()
-            else if cfg.journal then
-              (* journal-only sink: the always-on production journal does
-                 not drag the full metrics/trace machinery along *)
-              Obs.create ~trace:false ~metrics:false ~journal:true ()
+            if cfg.telemetry then Obs.create ~journal:false ()
             else Obs.disabled
       in
       let oracle =
@@ -281,13 +256,12 @@ let onoff = function true -> "on" | false -> "off"
 
 let describe_config (cfg : config) =
   Printf.sprintf
-    "threads=%d,workspace=%s,cache=%s,locality=%s,intermediates=%s,telemetry=%s,queue_bound=%d,batch_window=%d,calibration=%s,journal=%s"
+    "threads=%d,workspace=%s,cache=%s,locality=%s,intermediates=%s,telemetry=%s,calibration=%s"
     cfg.threads (onoff cfg.workspace) (onoff cfg.cache)
     (Locality.config_to_string cfg.locality)
     (if cfg.keep_intermediates then "keep" else "drop")
-    (onoff cfg.telemetry) cfg.queue_bound cfg.batch_window
+    (onoff cfg.telemetry)
     (Cost_oracle.calibration_to_string cfg.calibration)
-    (onoff cfg.journal)
 
 let describe t = describe_config t.cfg
 
@@ -361,23 +335,6 @@ let config_of_string s =
           | "telemetry" ->
               let* b = parse_flag key v in
               Ok { cfg with telemetry = b }
-          | "queue_bound" -> (
-              match int_of_string_opt v with
-              | Some q -> Ok { cfg with queue_bound = q }
-              | None ->
-                  Error
-                    (Printf.sprintf
-                       "engine spec: queue_bound expects an integer (got %s)" v))
-          | "batch_window" -> (
-              match int_of_string_opt v with
-              | Some w -> Ok { cfg with batch_window = w }
-              | None ->
-                  Error
-                    (Printf.sprintf
-                       "engine spec: batch_window expects an integer (got %s)" v))
-          | "journal" ->
-              let* b = parse_flag key v in
-              Ok { cfg with journal = b }
           | "calibration" -> (
               match Cost_oracle.calibration_of_string v with
               | Some c -> Ok { cfg with calibration = c }

@@ -34,36 +34,20 @@ type config = {
       (** [false] lets the liveness pass recycle each intermediate's buffer
           the moment its last reader retires (requires the workspace) *)
   telemetry : bool;
-      (** attach a live {!Granii_obs.Obs} sink (tracing + metrics +
-          journal) and feed every measured step's (predicted, measured)
-          pair to the oracle's pair store; off = the zero-overhead
+      (** attach a live {!Granii_obs.Obs} sink (tracing + metrics) and
+          feed every measured step's (predicted, measured) pair to the
+          oracle's pair store; off = the zero-overhead
           {!Granii_obs.Obs.disabled} sink *)
-  queue_bound : int;
-      (** serving axis: per-tenant admission-queue capacity (requests); the
-          serving runtime rejects with [Queue_full] beyond it. Must be
-          >= 1. Ignored by direct (non-serving) execution. *)
-  batch_window : int;
-      (** serving axis: how long (microseconds) the batcher may hold an
-          admitted request open waiting for coalescible peers; [0] batches
-          only what is already queued. Must be >= 0. Ignored by direct
-          (non-serving) execution. *)
   calibration : Cost_oracle.calibration;
       (** online cost-model calibration policy of the engine's oracle.
           {!Cost_oracle.Off} (the default) makes the oracle a pure reader of
           its base model — predictions bitwise identical to an uncalibrated
           engine. *)
-  journal : bool;
-      (** attach the always-on production event journal
-          ({!Granii_obs.Obs.Journal}: lock-free per-domain rings recording
-          step executions, plan-cache traffic, calibration swaps,
-          backpressure) even when full [telemetry] is off. Never affects
-          computed outputs. *)
 }
 
 val default_config : config
 (** [threads=1], everything off, {!Locality.default}, keep intermediates,
-    [calibration=Off], [journal=false] — the seed executor's behavior.
-    Serving axes default to [queue_bound=64], [batch_window=0]. *)
+    [calibration=Off] — the seed executor's behavior. *)
 
 type error =
   | Invalid_threads of int
@@ -74,11 +58,6 @@ type error =
           recycling reclaims buffers mid-run, before insertion can pin them *)
   | Cache_graph_mismatch of { expected : string; got : string }
       (** the cache was bound to one graph and used with another *)
-  | Invalid_queue_bound of int
-      (** [queue_bound < 1]: the serving runtime needs at least one
-          admission slot per tenant *)
-  | Invalid_batch_window of int
-      (** [batch_window < 0] microseconds *)
   | Invalid_format of string
       (** unknown sparse-format name on the locality axis (expected [csr],
           [hybrid], [bsr] or [cbm]) *)
@@ -120,7 +99,8 @@ val create :
     [workspace]/[cache] forced on, [telemetry] on when the injected sink is
     live, [calibration] from the injected oracle's policy).
     [config.telemetry = true] without an injected sink builds a fresh
-    all-on {!Granii_obs.Obs.create}; an injected
+    tracing + metrics {!Granii_obs.Obs.create} (no journal — inject a sink
+    that carries one to record it); an injected
     {!Granii_obs.Obs.disabled} keeps telemetry off. Without an injected
     [oracle], the engine builds one over the analytic host-CPU base model
     with the config's [calibration] policy. The oracle owns the one
@@ -187,7 +167,7 @@ val cache_insert : t -> string -> Dispatch.value -> float -> unit
 val describe : t -> string
 
 val describe_config : config -> string
-(** E.g. ["threads=4,workspace=on,cache=off,locality=identity+csr,intermediates=keep,telemetry=off,queue_bound=64,batch_window=0,calibration=off,journal=off"].
+(** E.g. ["threads=4,workspace=on,cache=off,locality=identity+csr,intermediates=keep,telemetry=off,calibration=off"].
     Round-trips exactly through {!config_of_string}. *)
 
 val config_of_string : string -> (config, string) result
@@ -195,8 +175,7 @@ val config_of_string : string -> (config, string) result
     {!default_config} values, [""] and ["default"] are the default config.
     Keys: [threads] (int), [workspace]/[cache]/[telemetry] (on|off),
     [locality] (<identity|degree|bfs|rcm>+<csr|hybrid|bsr|cbm>),
-    [intermediates] (keep|drop), [queue_bound] (int), [batch_window]
-    (int, microseconds), [calibration] (off|affine), [journal] (on|off).
+    [intermediates] (keep|drop), [calibration] (off|affine).
     An unknown format name reports the {!Invalid_format} message, an
     unknown calibration policy the {!Invalid_calibration} message. *)
 

@@ -22,8 +22,6 @@ let of_features ?(threads = 1) f =
     extraction_time = 0.;
     threads = max 1 threads }
 
-let with_threads t threads = { t with threads = max 1 threads }
-
 let log1 x = log (1. +. x)
 
 let primitive_input t ~dims:(m, k, n) =

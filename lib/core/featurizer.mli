@@ -27,10 +27,6 @@ val of_features : ?threads:int -> Granii_graph.Graph_features.t -> t
 (** Wraps precomputed statistics (extraction time 0) — used when profiling
     already has the statistics. *)
 
-val with_threads : t -> int -> t
-(** Re-targets an extracted feature vector at a different thread count
-    without re-inspecting the graph. *)
-
 val primitive_input : t -> dims:float * float * float -> float array
 (** Final model input: graph features, the log-scaled size triple of the
     primitive instance, and the log-scaled thread count. *)

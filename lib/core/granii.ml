@@ -121,8 +121,7 @@ let execute_with ?seed ?disable ~engine ~timing ~graph ~bindings decision =
 let engine_config ?(threads = 1) ?(workspace = false) ?(cache = false)
     ?(keep_intermediates = true) ?(telemetry = false)
     ?(calibration = Cost_oracle.Off) (localized : localized_decision) =
-  { Engine.default_config with
-    threads;
+  { Engine.threads;
     workspace;
     cache;
     locality = localized.config;

@@ -43,11 +43,6 @@ val format_of_string : string -> format option
 val config_to_string : config -> string
 (** E.g. ["degree+hybrid"]. *)
 
-val order_quality : Granii_graph.Graph_features.t -> Granii_graph.Reorder.strategy -> float
-(** Input-statistics proxy in [[0, 1]] for how much an ordering can help:
-    degree skew (Gini) for degree-sort, near-regular sparsity for BFS/RCM,
-    [0.] for identity. *)
-
 val gather_discount :
   Granii_hw.Hw_profile.t -> Granii_graph.Graph_features.t -> config -> float
 (** Predicted fraction of g-kernel random-gather traffic removed, composing

@@ -8,7 +8,7 @@
     - {!liveness} — attach the {!Liveness} analysis so the executor can
       recycle each intermediate's buffer at its last use (enabled only
       under a workspace with [keep_intermediates:false]);
-    - {!locality_layout} — adopt the engine's {!Locality.config}, under
+    - [locality-layout] — adopt the engine's {!Locality.config}, under
       which the run is bracketed by {!Layout.enter}/{!Layout.exit_};
     - {!cache_keying} — attach the per-step structural cache keys
       ({!Plan.step.skey}) consulted by the subtree cache.
@@ -29,7 +29,7 @@ type prepared = {
   live : Liveness.t option;
   locality : Locality.config;
       (** layout the run executes under; {!Locality.default} until the
-          {!locality_layout} pass adopts the engine's *)
+          [locality-layout] pass adopts the engine's *)
   cache_keys : string array option;
   trace : string list;  (** applied pass names, in application order *)
 }
@@ -46,7 +46,6 @@ val base : Plan.t -> prepared
 
 val lowering : pass
 val liveness : pass
-val locality_layout : pass
 val cache_keying : pass
 
 val all : pass list

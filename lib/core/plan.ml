@@ -76,8 +76,6 @@ let primitives p = List.map (fun s -> s.prim) p.steps
 
 let setup_steps p = List.filter (fun s -> s.phase = Setup) p.steps
 
-let iteration_steps p = List.filter (fun s -> s.phase = Per_iteration) p.steps
-
 let input_names p =
   let names = ref [] in
   List.iter

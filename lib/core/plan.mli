@@ -58,8 +58,6 @@ val primitives : t -> Primitive.t list
 
 val setup_steps : t -> step list
 
-val iteration_steps : t -> step list
-
 val input_names : t -> string list
 (** Leaves the plan expects to be bound (degree leaves excluded — those are
     computed). *)

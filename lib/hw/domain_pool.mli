@@ -18,11 +18,8 @@ val shutdown : t -> unit
 val default_threads : unit -> int
 (** [GRANII_THREADS] if set, else [Domain.recommended_domain_count ()]. *)
 
-val shared_pool : ?threads:int -> unit -> t
-(** The lazily-created process-wide pool. Requesting a different width
-    replaces (and shuts down) the previous shared pool. *)
-
 val for_threads : int -> t option
 (** [for_threads n] is [None] for [n <= 1] (sequential execution) and
-    [Some (shared_pool ~threads:n ())] otherwise — the shape executors
-    take. *)
+    otherwise [Some] of the lazily-created process-wide pool at width [n] —
+    the shape executors take. Requesting a different width replaces (and
+    shuts down) the previous shared pool. *)

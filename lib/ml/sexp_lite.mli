@@ -12,8 +12,6 @@ type t = Atom of string | List of t list
 exception Parse_error of string
 (** Raised by {!of_string} with a human-readable position message. *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val to_string : t -> string
 (** Renders with minimal spaces, nested lists on one line. *)
 

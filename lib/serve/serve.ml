@@ -24,13 +24,9 @@ type config = {
   batch_window : int;
   max_batch : int;
   plan_cache : int;
-  batching : bool;
   threads : int;
   profile : Granii_hw.Hw_profile.t;
-  iterations : int;
-  param_seed : int;
   locality : Locality.config;
-  calibration : Cost_oracle.calibration;
   slo_ms : float option;
 }
 
@@ -40,22 +36,19 @@ let default_config =
     batch_window = 0;
     max_batch = 8;
     plan_cache = 32;
-    batching = true;
     threads = 1;
     profile = Granii_hw.Hw_profile.cpu;
-    iterations = 1;
-    param_seed = 11;
     locality = Locality.default;
-    calibration = Cost_oracle.Off;
     slo_ms = None }
 
-let with_engine_axes (ec : Engine.config) cfg =
-  { cfg with
-    queue_bound = ec.Engine.queue_bound;
-    batch_window = ec.Engine.batch_window;
-    threads = ec.Engine.threads;
-    locality = ec.Engine.locality;
-    calibration = ec.Engine.calibration }
+(* Selection horizon: serving is single-shot inference, so setup steps are
+   charged at full price. *)
+let iterations = 1
+
+(* Server-side parameters are Glorot-initialized per (model, K_in, K_out)
+   from this seed and shared by every tenant — batches may span tenants
+   because weights are server state. *)
+let param_seed = 11
 
 type reject = Queue_full of { tenant : string; bound : int } | Shutdown
 
@@ -191,7 +184,7 @@ let pick t =
   | None -> None
   | Some p0 ->
       let reqs =
-        if t.cfg.batching && t.cfg.max_batch > 1 then
+        if t.cfg.max_batch > 1 then
           collect_compatible t p0 ~room:t.cfg.max_batch
         else begin
           remove_from_queue t p0;
@@ -253,15 +246,17 @@ let params_for t (ge : graph_entry) ~model ~k_in ~k_out =
       let low, _ = model_entry t model in
       let n = Graph.n_nodes ge.graph in
       let env = { Dim.n; nnz = Graph.n_edges ge.graph + n; k_in; k_out } in
-      let p = Layer.init_params ~seed:t.cfg.param_seed ~env low in
+      let p = Layer.init_params ~seed:param_seed ~env low in
       Hashtbl.replace t.params key p;
       p
 
-let feats_of (ge : graph_entry) =
+(* Featurized for the thread count kernels really run with, which the plan
+   cache key and the calibration feed also carry. *)
+let feats_of t (ge : graph_entry) =
   match ge.feats with
   | Some f -> f
   | None ->
-      let f = Featurizer.extract ge.graph in
+      let f = Featurizer.extract ~threads:t.cfg.threads ge.graph in
       ge.feats <- Some f;
       f
 
@@ -289,14 +284,14 @@ let select_plan t (ge : graph_entry) ~model ~k_in ~k_out =
     | Some lc -> lc
     | None ->
         let _, compiled = model_entry t model in
-        let feats = feats_of ge in
+        let feats = feats_of t ge in
         let n = Graph.n_nodes ge.graph in
         let env = { Dim.n; nnz = Graph.n_edges ge.graph + n; k_in; k_out } in
         let lc =
           Obs.span t.obs "serve.select" (fun () ->
               Selector.select_localized ~obs:t.obs ~oracle:t.oracle
-                ~feats ~env ~iterations:t.cfg.iterations
-                ~configs:[ t.cfg.locality ] compiled)
+                ~feats ~env ~iterations ~configs:[ t.cfg.locality ]
+                compiled)
         in
         Plan_cache.add t.pc key lc;
         lc
@@ -379,7 +374,8 @@ let execute ?pool ~locality (j : job) (plan, params) =
    the prediction models. *)
 let feed_oracle t (j : job) (plan : Plan.t) dt =
   match j.reqs with
-  | [ p ] when t.cfg.calibration <> Cost_oracle.Off && dt > 0. ->
+  | [ p ]
+    when Cost_oracle.calibration t.oracle <> Cost_oracle.Off && dt > 0. ->
       let prof =
         match Cost_oracle.profile t.oracle with
         | Some pr -> pr
@@ -481,7 +477,7 @@ let worker_loop t =
     | Some j ->
         let resolved =
           if
-            t.cfg.batching && t.cfg.batch_window > 0
+            t.cfg.batch_window > 0
             && List.length j.reqs < t.cfg.max_batch
             && not t.shutting
           then begin
@@ -523,15 +519,16 @@ let create ?(obs = Obs.disabled) ?(clock = Timer.wall) ?oracle cfg =
     invalid_arg "Serve.create: batch_window must be >= 0";
   if cfg.plan_cache < 0 then
     invalid_arg "Serve.create: plan_cache must be >= 0";
-  if cfg.iterations < 1 then
-    invalid_arg "Serve.create: iterations must be >= 1";
   if not (Locality.legal cfg.locality) then
     invalid_arg
       (Printf.sprintf "Serve.create: illegal locality %s (%s)"
          (Locality.config_to_string cfg.locality)
          (Engine.error_to_string (Engine.Bsr_with_reorder cfg.locality)));
+  (* worker domains run kernels sequentially: the shared domain pool is not
+     reentrant across domains *)
+  let cfg = if cfg.workers > 0 then { cfg with threads = 1 } else cfg in
   let pool =
-    if cfg.workers = 0 && cfg.threads > 1 then
+    if cfg.threads > 1 then
       Some (Parallel.create ~threads:cfg.threads ())
     else None
   in
@@ -539,12 +536,8 @@ let create ?(obs = Obs.disabled) ?(clock = Timer.wall) ?oracle cfg =
     match oracle with
     | Some o -> o
     | None ->
-        Cost_oracle.of_model ~calibration:cfg.calibration ~obs
-          (Granii_core.Cost_model.analytic cfg.profile)
+        Cost_oracle.of_model ~obs (Granii_core.Cost_model.analytic cfg.profile)
   in
-  (* normalize, as the engine does for injected resources: the stored config
-     reflects the oracle actually in use *)
-  let cfg = { cfg with calibration = Cost_oracle.calibration oracle } in
   let t =
     { cfg;
       obs;
@@ -775,13 +768,12 @@ let oracle t ~graph ~model ~k_out ~features =
         in
         let k_in = features.Dense.cols in
         let _, compiled = model_entry t model in
-        let feats = feats_of ge in
+        let feats = feats_of t ge in
         let n = Graph.n_nodes ge.graph in
         let env = { Dim.n; nnz = Graph.n_edges ge.graph + n; k_in; k_out } in
         let lc =
-          Selector.select_localized ~oracle:t.oracle ~feats ~env
-            ~iterations:t.cfg.iterations ~configs:[ t.cfg.locality ]
-            compiled
+          Selector.select_localized ~oracle:t.oracle ~feats ~env ~iterations
+            ~configs:[ t.cfg.locality ] compiled
         in
         ( ge,
           lc.Selector.lchoice.Selector.candidate.Codegen.plan,

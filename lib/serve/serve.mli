@@ -78,23 +78,19 @@ type config = {
       (** microseconds a threaded worker holds a sub-[max_batch] job open
           for late-arriving coalescible requests; [0] (and manual mode)
           batches only what is already queued *)
-  max_batch : int;     (** widest coalesced batch, >= 1 *)
+  max_batch : int;
+      (** widest coalesced batch, >= 1; [1] turns coalescing off (every job
+          has width 1 — the unbatched ablation arm) *)
   plan_cache : int;
       (** {!Granii_core.Plan_cache} capacity; [0] disables it *)
-  batching : bool;     (** [false]: every job has width 1 (ablation arm) *)
   threads : int;
-      (** domain-pool width for manual-mode kernel execution (threaded
-          workers always run kernels sequentially); also part of the plan
-          cache key — selection is thread-count-aware *)
+      (** domain-pool width for manual-mode kernel execution. Threaded
+          workers always run kernels sequentially, so {!create} normalizes
+          it to [1] when [workers > 0]. Selection featurizes for it, and it
+          is part of the plan cache key and of the calibration feed's
+          prediction. *)
   profile : Granii_hw.Hw_profile.t;
-      (** hardware profile the selection cost model targets *)
-  iterations : int;
-      (** selection horizon: serving is single-shot inference, so the
-          default [1] charges setup steps at full price *)
-  param_seed : int;
-      (** server-side parameters are Glorot-initialized per
-          (model, K_in, K_out) from this seed and shared by every tenant —
-          batches may span tenants because weights are server state *)
+      (** hardware profile the default cost oracle targets *)
   locality : Granii_core.Locality.config;
       (** layout axis for selection and width-1 execution; part of the plan
           cache key, so engines that localize differently never share a
@@ -103,12 +99,6 @@ type config = {
           execute under the default layout (widening happens in the
           original id space; layout is bitwise-transparent, so any cached
           plan is correct there). *)
-  calibration : Granii_core.Cost_oracle.calibration;
-      (** calibration policy of the server's {!Granii_core.Cost_oracle}
-          (default {!Granii_core.Cost_oracle.Off}). The plan cache is keyed
-          on {!Granii_core.Cost_oracle.name}, which changes on every
-          accepted calibration pass, so recalibrated oracles never serve a
-          stale plan. *)
   slo_ms : float option;
       (** per-request latency objective in milliseconds; [Some ms] counts
           every completion slower than [ms] as a breach ([serve.slo.breaches]
@@ -119,14 +109,15 @@ type config = {
 
 val default_config : config
 (** [workers=0], [queue_bound=64], [batch_window=0], [max_batch=8],
-    [plan_cache=32], [batching=true], [threads=1], host-CPU profile,
-    [iterations=1], [param_seed=11], default locality, calibration off,
-    no SLO. *)
+    [plan_cache=32], [threads=1], host-CPU profile, default locality, no
+    SLO.
 
-val with_engine_axes : Granii_core.Engine.config -> config -> config
-(** Copy the serving axes an {!Granii_core.Engine.config} carries
-    ([queue_bound], [batch_window], [threads], [locality], [calibration])
-    into a serving config — the bridge from the CLI's [--engine] spec. *)
+    Two serving constants are not config axes: selection uses a horizon of
+    one iteration (serving is single-shot inference, so setup steps are
+    charged at full price), and server-side parameters are
+    Glorot-initialized per (model, K_in, K_out) from seed [11], shared by
+    every tenant — batches may span tenants because weights are server
+    state. *)
 
 type reject =
   | Queue_full of { tenant : string; bound : int }
@@ -166,15 +157,18 @@ val create :
   ?oracle:Granii_core.Cost_oracle.t -> config -> t
 (** [clock] (default {!Granii_hw.Timer.wall}) timestamps submissions and
     completions — inject a manual clock for scripted-latency tests.
-    [oracle] injects the server's cost oracle (e.g. one with a custom drift
-    detector); by default the server builds one over the analytic model of
-    [cfg.profile] with [cfg.calibration]. With an injection the stored
-    config's [calibration] is normalized to the oracle's actual policy.
+    [oracle] injects the server's cost oracle; by default the server builds
+    an uncalibrated one over the analytic model of [cfg.profile]. Serving
+    calibrates exactly when the oracle does: inject one built with
+    {!Granii_core.Cost_oracle.Affine} (optionally with a custom drift
+    detector) to turn the feedback loop on. The plan cache is keyed on
+    {!Granii_core.Cost_oracle.name}, which changes on every accepted
+    calibration pass, so a recalibrated oracle never serves a stale plan.
     Raises [Invalid_argument] on a non-positive
     [queue_bound]/[max_batch]/[threads], negative
-    [workers]/[batch_window]/[plan_cache], [iterations < 1], a non-positive
-    [slo_ms] or an illegal [locality] (bsr with a non-identity ordering —
-    see {!Granii_core.Locality.legal}). *)
+    [workers]/[batch_window]/[plan_cache], a non-positive [slo_ms] or an
+    illegal [locality] (bsr with a non-identity ordering — see
+    {!Granii_core.Locality.legal}). *)
 
 val register_graph : t -> name:string -> Granii_graph.Graph.t -> unit
 (** Graphs are server state, named at registration. Re-registering a name

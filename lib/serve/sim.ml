@@ -11,10 +11,6 @@ type load = {
   seed : int;
 }
 
-let default_load =
-  { clients = 4; requests = 64; tenants = 2; graph = "g"; model = "gcn";
-    k_in = 16; k_out = 8; seed = 7 }
-
 type result = {
   wall : float;
   throughput : float;

@@ -21,10 +21,6 @@ type load = {
   seed : int;
 }
 
-val default_load : load
-(** [clients=4], [requests=64], [tenants=2], graph ["g"], model ["gcn"],
-    [k_in=16], [k_out=8], [seed=7]. *)
-
 type result = {
   wall : float;            (** seconds for the whole run *)
   throughput : float;      (** completions per second *)

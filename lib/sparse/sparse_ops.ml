@@ -80,8 +80,6 @@ let row_sums (a : Csr.t) =
       done;
       !acc)
 
-let weighted_degrees = row_sums
-
 let binned_degrees (a : Csr.t) =
   (* Semantically a scatter-add over destination bins, exactly what
      WiseGraph's binning function computes. Sequentially there is no atomic

@@ -29,9 +29,6 @@ val row_sums : Csr.t -> Granii_tensor.Vector.t
 (** Sum of stored values per row; on an unweighted matrix this is the
     out-degree vector as floats. *)
 
-val weighted_degrees : Csr.t -> Granii_tensor.Vector.t
-(** Alias of {!row_sums}, under the name the GNN code uses. *)
-
 val binned_degrees : Csr.t -> Granii_tensor.Vector.t
 (** Degree computation in the style of WiseGraph's PyTorch binning function
     (paper, Sec. VI-C1): scatter-add of ones over destination bins. The

@@ -168,7 +168,3 @@ let stats t =
     issued = t.out.len;
     held_words = t.held_words;
     issued_words = t.issued_words }
-
-let pp_stats ppf (s : stats) =
-  Format.fprintf ppf "hits=%d misses=%d issued=%d held=%dw out=%dw" s.hits
-    s.misses s.issued s.held_words s.issued_words

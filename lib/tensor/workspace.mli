@@ -60,5 +60,3 @@ val clear : t -> unit
 (** Drop all pooled buffers (free lists included), keeping counters. *)
 
 val stats : t -> stats
-
-val pp_stats : Format.formatter -> stats -> unit

@@ -81,20 +81,6 @@ let test_illegal_typed () =
         (function Engine.Invalid_threads n -> n = t | _ -> false))
     [ 0; -1; -8 ];
   List.iter
-    (fun q ->
-      expect
-        (Printf.sprintf "queue_bound=%d" q)
-        { Engine.default_config with queue_bound = q }
-        (function Engine.Invalid_queue_bound n -> n = q | _ -> false))
-    [ 0; -1 ];
-  List.iter
-    (fun w ->
-      expect
-        (Printf.sprintf "batch_window=%d" w)
-        { Engine.default_config with batch_window = w }
-        (function Engine.Invalid_batch_window n -> n = w | _ -> false))
-    [ -1; -250 ];
-  List.iter
     (fun locality ->
       expect
         ("cache + " ^ Locality.config_to_string locality)
@@ -112,43 +98,37 @@ let test_illegal_typed () =
 
 let legal_grid =
   List.concat_map
-    (fun (queue_bound, batch_window) ->
+    (fun threads ->
       List.concat_map
-        (fun threads ->
+        (fun workspace ->
           List.concat_map
-            (fun workspace ->
+            (fun cache ->
               List.concat_map
-                (fun cache ->
+                (fun keep_intermediates ->
                   List.concat_map
-                    (fun keep_intermediates ->
-                      List.concat_map
-                        (fun locality ->
-                          List.filter_map
-                            (fun calibration ->
-                              let cfg =
-                                { Engine.default_config with
-                                  threads;
-                                  workspace;
-                                  cache;
-                                  locality;
-                                  keep_intermediates;
-                                  queue_bound;
-                                  batch_window;
-                                  calibration }
-                              in
-                              match Engine.create cfg with
-                              | Ok e ->
-                                  Engine.shutdown e;
-                                  Some cfg
-                              | Error _ -> None)
-                            [ Cost_oracle.Off; Cost_oracle.Affine ])
-                        Locality.all_configs)
-                    [ true; false ])
-                [ false; true ])
+                    (fun locality ->
+                      List.filter_map
+                        (fun calibration ->
+                          let cfg =
+                            { Engine.default_config with
+                              threads;
+                              workspace;
+                              cache;
+                              locality;
+                              keep_intermediates;
+                              calibration }
+                          in
+                          match Engine.create cfg with
+                          | Ok e ->
+                              Engine.shutdown e;
+                              Some cfg
+                          | Error _ -> None)
+                        [ Cost_oracle.Off; Cost_oracle.Affine ])
+                    Locality.all_configs)
+                [ true; false ])
             [ false; true ])
-        [ 1; 2 ])
-    (* the serving axes (PR 6): admission-queue bound and batch window *)
-    [ (64, 0); (1, 250); (512, 5000) ]
+        [ false; true ])
+    [ 1; 2 ]
 
 let test_describe_roundtrip () =
   check_true "the legal grid is non-trivial" (List.length legal_grid > 10);
@@ -169,19 +149,14 @@ let test_describe_roundtrip () =
     (match Engine.config_of_string "turbo=yes" with
     | Error _ -> true
     | Ok _ -> false);
-  (* the serving axes parse, and reject non-integers *)
-  check_true "serving axes parse"
-    (match Engine.config_of_string "queue_bound=128,batch_window=500" with
-    | Ok cfg ->
-        cfg.Engine.queue_bound = 128 && cfg.Engine.batch_window = 500
-    | Error _ -> false);
+  (* serving admission and the event journal are not engine axes: they are
+     set on the serving config and by injecting an observability sink *)
   List.iter
-    (fun spec ->
-      check_true (spec ^ " is a parse error")
-        (match Engine.config_of_string spec with
-        | Error _ -> true
-        | Ok _ -> false))
-    [ "queue_bound=lots"; "batch_window=soon" ];
+    (fun (key, v) ->
+      check_true (key ^ " is an unknown key")
+        (Engine.config_of_string (key ^ "=" ^ v)
+        = Error ("engine spec: unknown key " ^ key)))
+    [ ("queue_bound", "128"); ("batch_window", "500"); ("journal", "on") ];
   (* the calibration axis (PR 9): the oracle's online-correction policy *)
   check_true "calibration=affine parses"
     (match Engine.config_of_string "calibration=affine" with
@@ -345,11 +320,6 @@ let test_differential_grid () =
         List.filter
           (fun cfg ->
             cfg.Engine.threads = 1
-            (* the serving axes are admission parameters with no effect on
-               execution — one representative point keeps the grid fast *)
-            && cfg.Engine.queue_bound = Engine.default_config.Engine.queue_bound
-            && cfg.Engine.batch_window
-               = Engine.default_config.Engine.batch_window
             (* calibration shapes prediction, never execution; the grid pins
                the acceptance-gated [Off] arm and stays fast *)
             && cfg.Engine.calibration = Cost_oracle.Off

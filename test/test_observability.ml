@@ -293,7 +293,7 @@ let test_serve_drift_chain () =
   in
   let cfg =
     { Serve.default_config with
-      batching = false (* width-1 jobs feed the oracle *);
+      max_batch = 1 (* width-1 jobs feed the oracle *);
       profile = Granii_hw.Hw_profile.h100;
       slo_ms = Some 1e-4 (* sub-microsecond: every completion breaches *) }
   in

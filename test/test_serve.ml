@@ -237,7 +237,7 @@ let test_exact_graph_identity () =
 
 let test_plan_cache_counts () =
   with_server
-    ~cfg:{ Serve.default_config with batching = false; plan_cache = 8 }
+    ~cfg:{ Serve.default_config with max_batch = 1; plan_cache = 8 }
     (fun t graph ->
       let n = G.Graph.n_nodes graph in
       let submit k_out seed =
@@ -294,16 +294,12 @@ let test_plan_cache_layout_key () =
   List.iter (fun l -> Plan_cache.add pc (key l) lc) (List.tl layouts);
   check_int "each layout is its own entry" (List.length layouts)
     (Plan_cache.length pc);
-  (* the engine bridge carries the locality axis into the serving config,
-     and a locality-configured server still answers bitwise like the oracle *)
+  (* a locality-configured server still answers bitwise like the oracle *)
   let locality =
     { Locality.strategy = G.Reorder.Degree_sort; format = Locality.Cbm }
   in
-  let ec = { Engine.default_config with locality } in
-  let sc = Serve.with_engine_axes ec Serve.default_config in
-  check_true "locality carried" (sc.Serve.locality = locality);
   with_server
-    ~cfg:{ Serve.default_config with batching = false; plan_cache = 8; locality }
+    ~cfg:{ Serve.default_config with max_batch = 1; plan_cache = 8; locality }
     (fun t graph ->
       let n = G.Graph.n_nodes graph in
       let f = Dense.random ~seed:61 n 8 in
@@ -352,11 +348,11 @@ let test_backpressure () =
 (* ---- arena isolation: a response survives later requests ---- *)
 
 let test_arena_isolation () =
-  (* batching off so every execution is width 1 and uses its tenant's
-     arena — the path where a stale response would be overwritten if the
-     runtime skipped the copy-out *)
+  (* batching off (max_batch = 1) so every execution is width 1 and uses
+     its tenant's arena — the path where a stale response would be
+     overwritten if the runtime skipped the copy-out *)
   with_server
-    ~cfg:{ Serve.default_config with batching = false }
+    ~cfg:{ Serve.default_config with max_batch = 1 }
     (fun t graph ->
       let n = G.Graph.n_nodes graph in
       let f1 = Dense.random ~seed:1 n 8 and f2 = Dense.random ~seed:2 n 8 in
@@ -423,6 +419,39 @@ let test_manual_clock () =
       check_float "latency measured on the injected clock" 1.0 r.Serve.latency;
       check_float "second submission's scripted latency" 0.75 r2.Serve.latency)
 
+(* ---- threaded mode selects and predicts for the threads it runs ---- *)
+
+let test_threaded_kernel_threads () =
+  (* worker domains run kernels sequentially, so a threaded server asked for
+     4 kernel threads must behave exactly like one asked for 1: the
+     calibration feed pairs the 1-thread run with a 1-thread prediction *)
+  let graph = G.Generators.erdos_renyi ~n:2000 ~avg_degree:8. () in
+  let features = Dense.random ~seed:5 (G.Graph.n_nodes graph) 16 in
+  let feed threads =
+    let oracle =
+      Cost_oracle.of_model ~calibration:Cost_oracle.Affine
+        (Cost_model.analytic Granii_hw.Hw_profile.cpu)
+    in
+    (* every clock read advances one millisecond: the one measured
+       execution lasts exactly one tick *)
+    let ticks = Atomic.make 0 in
+    let clock () = 1e-3 *. float_of_int (Atomic.fetch_and_add ticks 1) in
+    let t =
+      Serve.create ~clock ~oracle
+        { Serve.default_config with workers = 1; threads }
+    in
+    Fun.protect ~finally:(fun () -> Serve.shutdown t) (fun () ->
+        Serve.register_graph t ~name:"g" graph;
+        ignore (Serve.await t (submit_exn t ~tenant:"a" ~k_out:8 ~features)
+                 : Serve.response));
+    (Cost_oracle.report oracle).Cost_oracle.per_prim
+  in
+  let one = feed 1 in
+  check_int "one (predicted, measured) pair fed" 1
+    (List.fold_left (fun acc r -> acc + r.Cost_oracle.rp_pairs) 0 one);
+  check_true "threads=4 under workers feeds the same pair as threads=1"
+    (feed 4 = one)
+
 (* ---- config plumbing and argument validation ---- *)
 
 let test_config () =
@@ -439,14 +468,6 @@ let test_config () =
   bad "batch_window" { Serve.default_config with batch_window = -1 };
   bad "plan_cache" { Serve.default_config with plan_cache = -1 };
   bad "threads" { Serve.default_config with threads = 0 };
-  bad "iterations" { Serve.default_config with iterations = 0 };
-  (* the engine's serving axes carry over verbatim *)
-  let ec = { Engine.default_config with queue_bound = 7; batch_window = 13;
-             threads = 2 } in
-  let sc = Serve.with_engine_axes ec Serve.default_config in
-  check_int "queue_bound carried" 7 sc.Serve.queue_bound;
-  check_int "batch_window carried" 13 sc.Serve.batch_window;
-  check_int "threads carried" 2 sc.Serve.threads;
   with_server (fun t graph ->
       let n = G.Graph.n_nodes graph in
       let f = Dense.random ~seed:1 n 8 in
@@ -623,7 +644,9 @@ let suite =
       test_shutdown;
     Alcotest.test_case "injected clock scripts latencies" `Quick
       test_manual_clock;
-    Alcotest.test_case "config validation and engine-axis bridge" `Quick
+    Alcotest.test_case "threaded mode runs kernels on 1 thread" `Quick
+      test_threaded_kernel_threads;
+    Alcotest.test_case "config validation" `Quick
       test_config;
     Alcotest.test_case "serving metrics reach the registry" `Quick
       test_metrics;
