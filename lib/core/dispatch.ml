@@ -46,7 +46,7 @@ let shares_backing a v = List.exists (fun b -> b == a) (backing_arrays v)
 
 (* ---- execution context ---- *)
 
-(* A localized physical form of a sparse operand: what the Pass layout
+(* A localized physical form of a sparse operand: what the Layout
    bracket converted the graph's matrix into for this engine config. *)
 type form =
   | Fhybrid of Hybrid.t
@@ -58,8 +58,6 @@ type ctx = {
   ws : Workspace.t option;
   localize : (Csr.t -> form option) option;
 }
-
-let plain = { pool = None; ws = None; localize = None }
 
 let form_of ctx m =
   match ctx.localize with None -> None | Some f -> f m
@@ -106,162 +104,80 @@ let apply_nonlinear ?pool ?ws kind d =
   | Matrix_ir.Log_softmax -> Dense.log_softmax_rows ?pool ?ws d
   | Matrix_ir.Edge_softmax -> err "edge_softmax reached dense map"
 
-(* ---- kernel registry ----
+(* ---- kernel selection ----
 
-   One implementation per (backend, primitive, operand format). The format
-   axis is how the locality engine swaps the g-kernels to the hybrid
-   slab+tail, block-sparse or neighbor-dedup layouts without the dispatch
-   loop knowing; the backend axis is the seam future accelerator backends
-   plug into. Non-CSR entries fall back to [Fmt_csr] when absent, so only
-   the primitives that actually have a format-specific kernel need a second
-   registration. *)
-
-type backend = Cpu
-
-type fmt = Fmt_csr | Fmt_hybrid | Fmt_bsr | Fmt_cbm
-
-type impl = ctx -> Granii_graph.Graph.t -> Primitive.t -> value array -> value
-
-let backend_to_string = function Cpu -> "cpu"
-
-let fmt_to_string = function
-  | Fmt_csr -> "csr"
-  | Fmt_hybrid -> "hybrid"
-  | Fmt_bsr -> "bsr"
-  | Fmt_cbm -> "cbm"
-
-let registry : (string, impl) Hashtbl.t = Hashtbl.create 64
-
-let key backend fmt name =
-  backend_to_string backend ^ "/" ^ fmt_to_string fmt ^ "/" ^ name
-
-let register ?(backend = Cpu) ?(fmt = Fmt_csr) name impl =
-  Hashtbl.replace registry (key backend fmt name) impl
-
-let lookup ?(backend = Cpu) ~fmt name =
-  match Hashtbl.find_opt registry (key backend fmt name) with
-  | Some impl -> Some impl
-  | None when fmt <> Fmt_csr ->
-      Hashtbl.find_opt registry (key backend Fmt_csr name)
-  | None -> None
-
-let registered ?(backend = Cpu) () =
-  Hashtbl.fold
-    (fun k _ acc ->
-      match String.index_opt k '/' with
-      | Some i when String.sub k 0 i = backend_to_string backend -> k :: acc
-      | _ -> acc)
-    registry []
-  |> List.sort_uniq compare
-
-(* The format a step executes under: non-CSR only when the locality engine
-   has a registered localized form for the step's sparse operand (the lookup
-   is by physical identity, so per-iteration-fresh values fall back to
-   CSR). *)
-let fmt_of_form = function
-  | Fhybrid _ -> Fmt_hybrid
-  | Fbsr _ -> Fmt_bsr
-  | Fcbm _ -> Fmt_cbm
+   One kernel per primitive; the only choice left at run time is the
+   operand format of SpMM and rank-1 SDDMM, which the locality bracket
+   settled before the run by registering a localized form for the graph
+   matrix. The lookup is by physical identity, so per-iteration-fresh
+   values keep the CSR kernel. *)
 
 let format_of ctx (prim : Primitive.t) (args : value array) =
-  match ctx.localize with
-  | None -> Fmt_csr
-  | Some f -> (
-      let form_fmt m =
-        match f m with Some frm -> Some (fmt_of_form frm) | None -> None
-      in
-      match (prim, args) with
-      | Primitive.Spmm _, [| Vsparse m; _ |] -> (
-          match form_fmt m with Some fmt -> fmt | None -> Fmt_csr)
-      | Primitive.Sddmm_rank1, [| _; Vsparse m; _ |] -> (
-          match form_fmt m with Some fmt -> fmt | None -> Fmt_csr)
-      | _ -> Fmt_csr)
-
-let exec ?(backend = Cpu) ctx (prim : Primitive.t) graph (args : value array) =
-  let fmt = format_of ctx prim args in
-  match lookup ~backend ~fmt (Primitive.name prim) with
-  | Some impl -> impl ctx graph prim args
-  | None ->
-      err "no %s kernel registered for %s" (backend_to_string backend)
-        (Primitive.name prim)
-
-(* ---- default CPU kernels ---- *)
+  let of_operand m =
+    match form_of ctx m with
+    | Some (Fhybrid _) -> Locality.Hybrid
+    | Some (Fbsr _) -> Locality.Bsr
+    | Some (Fcbm _) -> Locality.Cbm
+    | None -> Locality.Csr
+  in
+  match (prim, args) with
+  | Primitive.Spmm _, [| Vsparse m; _ |]
+  | Primitive.Sddmm_rank1, [| _; Vsparse m; _ |] ->
+      of_operand m
+  | _ -> Locality.Csr
 
 let bad_arity prim args =
   err "primitive %a applied to %d arguments" Primitive.pp prim (Array.length args)
 
-let () =
-  let reg name f = register name f in
-  reg "gemm" (fun { pool; ws; _ } _g prim args ->
+let exec ({ pool; ws; _ } as ctx) (prim : Primitive.t) graph (args : value array) =
+  match prim with
+  | Primitive.Gemm _ -> (
       match args with
       | [| a; b |] -> Vdense (Dense.matmul ?pool ?ws (dense a) (dense b))
-      | _ -> bad_arity prim args);
-  let spmm_csr : impl = fun { pool; ws; _ } _g prim args ->
-    match args with
-    | [| a; b |] -> Vdense (Spmm.run ?pool ?ws (sparse a) (dense b))
-    | _ -> bad_arity prim args
-  in
-  (* Localized SpMM: run the kernel of whatever form the layout bracket
-     registered for this operand; CSR when the memo misses (per-iteration
-     fresh values). *)
-  let spmm_form : impl = fun ctx _g prim args ->
-    match args with
-    | [| a; b |] -> (
-        let m = sparse a in
-        match form_of ctx m with
-        | Some (Fhybrid h) ->
-            Vdense (Hybrid.spmm ?pool:ctx.pool ?ws:ctx.ws h (dense b))
-        | Some (Fbsr bm) ->
-            Vdense (Bsr.spmm ?pool:ctx.pool ?ws:ctx.ws bm (dense b))
-        | Some (Fcbm cm) ->
-            Vdense (Cbm.spmm ?pool:ctx.pool ?ws:ctx.ws cm (dense b))
-        | None -> Vdense (Spmm.run ?pool:ctx.pool ?ws:ctx.ws m (dense b)))
-    | _ -> bad_arity prim args
-  in
-  (* Primitive.name splits SpMM by weightedness; the CPU kernel serves both *)
-  List.iter
-    (fun name ->
-      reg name spmm_csr;
-      register ~fmt:Fmt_hybrid name spmm_form;
-      register ~fmt:Fmt_bsr name spmm_form;
-      register ~fmt:Fmt_cbm name spmm_form)
-    [ "spmm_w"; "spmm_u" ];
-  reg "dspmm" (fun { pool; ws; _ } _g prim args ->
+      | _ -> bad_arity prim args)
+  | Primitive.Spmm _ -> (
+      (* weighted and unweighted SpMM share one value-level kernel *)
+      match args with
+      | [| a; b |] -> (
+          let m = sparse a in
+          match form_of ctx m with
+          | Some (Fhybrid h) -> Vdense (Hybrid.spmm ?pool ?ws h (dense b))
+          | Some (Fbsr bm) -> Vdense (Bsr.spmm ?pool ?ws bm (dense b))
+          | Some (Fcbm cm) -> Vdense (Cbm.spmm ?pool ?ws cm (dense b))
+          | None -> Vdense (Spmm.run ?pool ?ws m (dense b)))
+      | _ -> bad_arity prim args)
+  | Primitive.Dense_sparse_mm _ -> (
       match args with
       | [| a; b |] -> Vdense (Spmm.run_transposed ?pool ?ws (dense a) (sparse b))
-      | _ -> bad_arity prim args);
-  reg "sddmm_rank1" (fun { pool; ws; _ } _g prim args ->
-      match args with
-      | [| dl; a; dr |] -> Vsparse (Sddmm.rank1 ?pool ?ws (sparse a) (diag dl) (diag dr))
-      | _ -> bad_arity prim args);
-  register ~fmt:Fmt_hybrid "sddmm_rank1" (fun ctx _g prim args ->
+      | _ -> bad_arity prim args)
+  | Primitive.Sddmm_rank1 -> (
       match args with
       | [| dl; a; dr |] -> (
           let m = sparse a in
           match form_of ctx m with
-          | Some (Fhybrid h) ->
-              Vsparse (Hybrid.rank1 ?pool:ctx.pool ?ws:ctx.ws h (diag dl) (diag dr))
+          | Some (Fhybrid h) -> Vsparse (Hybrid.rank1 ?pool ?ws h (diag dl) (diag dr))
           | Some (Fbsr _) | Some (Fcbm _) | None ->
               (* rank-1 gains nothing from tiles or dedup: the k=1 dot is
                  the value read itself *)
-              Vsparse (Sddmm.rank1 ?pool:ctx.pool ?ws:ctx.ws m (diag dl) (diag dr)))
-      | _ -> bad_arity prim args);
-  reg "diag_scale" (fun { pool; ws; _ } _g prim args ->
-      match (prim, args) with
-      | Primitive.Diag_scale { side = `Left }, [| d; a |] ->
-          Vsparse (Sparse_ops.scale_rows ?pool ?ws (diag d) (sparse a))
-      | Primitive.Diag_scale { side = `Right }, [| a; d |] ->
-          Vsparse (Sparse_ops.scale_cols ?pool ?ws (sparse a) (diag d))
-      | _ -> bad_arity prim args);
-  reg "row_broadcast" (fun { pool; ws; _ } _g prim args ->
+              Vsparse (Sddmm.rank1 ?pool ?ws m (diag dl) (diag dr)))
+      | _ -> bad_arity prim args)
+  | Primitive.Diag_scale { side = `Left } -> (
+      match args with
+      | [| d; a |] -> Vsparse (Sparse_ops.scale_rows ?pool ?ws (diag d) (sparse a))
+      | _ -> bad_arity prim args)
+  | Primitive.Diag_scale { side = `Right } -> (
+      match args with
+      | [| a; d |] -> Vsparse (Sparse_ops.scale_cols ?pool ?ws (sparse a) (diag d))
+      | _ -> bad_arity prim args)
+  | Primitive.Row_broadcast _ -> (
       match args with
       | [| d; x |] -> Vdense (Dense.row_broadcast ?pool ?ws (diag d) (dense x))
-      | _ -> bad_arity prim args);
-  reg "col_broadcast" (fun { pool; ws; _ } _g prim args ->
+      | _ -> bad_arity prim args)
+  | Primitive.Col_broadcast _ -> (
       match args with
       | [| x; d |] -> Vdense (Dense.col_broadcast ?pool ?ws (dense x) (diag d))
-      | _ -> bad_arity prim args);
-  reg "diag_combine" (fun { ws; _ } _g prim args ->
+      | _ -> bad_arity prim args)
+  | Primitive.Diag_combine -> (
       match args with
       | [| a; b |] ->
           let da = diag a and db = diag b in
@@ -272,63 +188,61 @@ let () =
             out.(i) <- da.(i) *. db.(i)
           done;
           Vdiag out
-      | _ -> bad_arity prim args);
-  reg "sparse_add" (fun { ws; _ } _g _prim parts ->
+      | _ -> bad_arity prim args)
+  | Primitive.Sparse_add _ -> (
       let as_csr = function
         | Vdiag d -> diag_to_csr ?ws d
         | Vsparse s -> s
         | Vdense _ -> err "sparse_add over a dense operand"
       in
-      match Array.length parts with
+      match Array.length args with
       | 0 -> err "sparse_add with no operands"
       | len ->
-          let acc = ref (as_csr parts.(0)) in
+          let acc = ref (as_csr args.(0)) in
           for i = 1 to len - 1 do
-            acc := Sparse_ops.add !acc (as_csr parts.(i))
+            acc := Sparse_ops.add !acc (as_csr args.(i))
           done;
-          Vsparse !acc);
-  reg "dense_add" (fun { pool; ws; _ } _g _prim parts ->
-      match Array.length parts with
+          Vsparse !acc)
+  | Primitive.Dense_add _ -> (
+      match Array.length args with
       | 0 -> err "dense_add with no operands"
       | len ->
-          let acc = ref (dense parts.(0)) in
+          let acc = ref (dense args.(0)) in
           for i = 1 to len - 1 do
-            let next = Dense.add ?pool ?ws !acc (dense parts.(i)) in
+            let next = Dense.add ?pool ?ws !acc (dense args.(i)) in
             (* fold temporaries (never the first operand, which a caller may
                still hold) go straight back to the arena *)
             if i > 1 then Workspace.give_back ws !acc.Dense.data;
             acc := next
           done;
-          Vdense !acc);
-  reg "edge_score" (fun { pool; ws; _ } _g prim args ->
+          Vdense !acc)
+  | Primitive.Edge_score _ -> (
       match args with
       | [| mask; feats; a_src; a_dst |] ->
           Vsparse
             (edge_score ?pool ?ws (sparse mask) (dense feats) (dense a_src)
                (dense a_dst))
-      | _ -> bad_arity prim args);
-  reg "edge_softmax" (fun { pool; ws; _ } _g prim args ->
+      | _ -> bad_arity prim args)
+  | Primitive.Edge_softmax -> (
       match args with
       | [| a |] -> Vsparse (Sparse_ops.row_softmax ?pool ?ws (sparse a))
-      | _ -> bad_arity prim args);
-  reg "dense_map" (fun { pool; ws; _ } _g prim args ->
-      match (prim, args) with
-      | Primitive.Dense_map { kind; _ }, [| a |] ->
-          Vdense (apply_nonlinear ?pool ?ws kind (dense a))
-      | _ -> bad_arity prim args);
-  let degree : impl = fun _ctx graph prim args ->
-    match (prim, args) with
-    | Primitive.Degree { power; _ }, [| _graph_token |] -> (
-        match power with
-        | Primitive.Inv_sqrt -> Vdiag (Granii_graph.Graph.norm_inv_sqrt graph)
-        | Primitive.Inv ->
-            Vdiag
-              (Granii_tensor.Vector.pow (-1.)
-                 (Granii_graph.Graph.degrees_tilde graph)))
-    | _ -> bad_arity prim args
-  in
-  (* binned vs rowptr is a cost-model distinction; one value-level kernel *)
-  List.iter (fun name -> reg name degree) [ "degree_rowptr"; "degree_binned" ]
+      | _ -> bad_arity prim args)
+  | Primitive.Dense_map { kind; _ } -> (
+      match args with
+      | [| a |] -> Vdense (apply_nonlinear ?pool ?ws kind (dense a))
+      | _ -> bad_arity prim args)
+  | Primitive.Degree { power; _ } -> (
+      (* binned vs rowptr is a cost-model distinction; one value-level
+         kernel. The single argument is the graph token, never inspected. *)
+      match args with
+      | [| _graph_token |] -> (
+          match power with
+          | Primitive.Inv_sqrt -> Vdiag (Granii_graph.Graph.norm_inv_sqrt graph)
+          | Primitive.Inv ->
+              Vdiag
+                (Granii_tensor.Vector.pow (-1.)
+                   (Granii_graph.Graph.degrees_tilde graph)))
+      | _ -> bad_arity prim args)
 
 (* Kernels of a step, sized from the actual operand values (so sampling or
    precomputed sparse intermediates are charged their true nnz). *)

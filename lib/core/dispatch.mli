@@ -1,13 +1,12 @@
-(** Kernel dispatch: concrete values and the primitive → kernel registry.
+(** Kernel dispatch: concrete values and the primitive → kernel match.
 
     This is the lowest layer of the execution stack
-    ([Dispatch] < {!Engine} < {!Pass} < {!Executor}): it knows how to apply
-    one {!Primitive.t} to concrete operand {!value}s and nothing about
-    plans, phases, caching or timing. Implementations are looked up in a
-    registry keyed by {e (backend, primitive name, operand format)} — the
-    seam future accelerator backends and batched/sharded kernels plug into.
-    The CPU kernels for every primitive (and the hybrid-format variants of
-    the gather-bound g-kernels) are registered at module initialization. *)
+    ([Dispatch] < {!Engine} < {!Layout} < {!Executor}): it knows how to
+    apply one {!Primitive.t} to concrete operand {!value}s and nothing about
+    plans, phases, caching or timing. {!exec} picks the kernel with one
+    match on the primitive; the only run-time choice is the operand format
+    of SpMM and rank-1 SDDMM, which the {!Layout} bracket settled before
+    the run. *)
 
 type value =
   | Vdense of Granii_tensor.Dense.t
@@ -16,7 +15,7 @@ type value =
 
 exception Execution_error of string
 (** Raised on an argument-kind or arity mismatch (which would indicate an
-    enumeration bug), and on unregistered primitives. *)
+    enumeration bug). *)
 
 val shape_of : value -> int * int
 
@@ -34,16 +33,15 @@ val shares_backing : float array -> value -> bool
     What a kernel may use while running: the domain pool, the workspace
     arena, and the locality engine's localized-form lookup
     (physical-identity memo over iteration-stable sparse matrices). Built by
-    {!Executor} from an {!Engine.t}; {!plain} is the bare sequential
-    context. *)
+    {!Executor} from an {!Engine.t}. *)
 
 type form =
   | Fhybrid of Granii_sparse.Hybrid.t
   | Fbsr of Granii_sparse.Bsr.t
   | Fcbm of Granii_sparse.Cbm.t
-      (** A localized physical form of a sparse operand — what the [Pass]
-          layout bracket converted a graph matrix into under the engine's
-          locality config. *)
+      (** A localized physical form of a sparse operand — what the
+          {!Layout} bracket converted a graph matrix into under the
+          engine's locality config. *)
 
 type ctx = {
   pool : Granii_tensor.Parallel.t option;
@@ -51,44 +49,17 @@ type ctx = {
   localize : (Granii_sparse.Csr.t -> form option) option;
 }
 
-val plain : ctx
+val format_of : ctx -> Primitive.t -> value array -> Locality.format
+(** The operand format {!exec} runs a step under: non-CSR only for SpMM
+    and rank-1 SDDMM whose sparse operand has a localized form in the
+    context — exposed so the telemetry layer can attribute a span to the
+    kernel that actually ran. *)
 
-(** {2 Registry} *)
-
-type backend = Cpu
-
-type fmt = Fmt_csr | Fmt_hybrid | Fmt_bsr | Fmt_cbm
-
-type impl = ctx -> Granii_graph.Graph.t -> Primitive.t -> value array -> value
-(** One kernel implementation. The primitive is passed through so one entry
-    can serve a whole family (e.g. both [Diag_scale] sides). *)
-
-val register : ?backend:backend -> ?fmt:fmt -> string -> impl -> unit
-(** [register name impl] binds [impl] for primitives whose
-    {!Primitive.name} is [name] (defaults: [Cpu], [Fmt_csr]). Re-registering
-    replaces the previous implementation. *)
-
-val lookup : ?backend:backend -> fmt:fmt -> string -> impl option
-(** Non-CSR formats fall back to the [Fmt_csr] entry when no format-specific
-    kernel is registered, so only primitives with a genuine localized
-    variant need extra registrations. *)
-
-val registered : ?backend:backend -> unit -> string list
-(** Registry keys for a backend, sorted — a diagnostic view. *)
-
-val fmt_to_string : fmt -> string
-
-val format_of : ctx -> Primitive.t -> value array -> fmt
-(** The operand format {!exec} would dispatch a step under — exposed so the
-    telemetry layer can attribute a span to the kernel that actually ran. *)
-
-val exec :
-  ?backend:backend -> ctx -> Primitive.t -> Granii_graph.Graph.t ->
-  value array -> value
-(** Execute one primitive: pick the operand format (non-CSR when the context
-    has a registered localized form for the step's sparse operand), look the
-    implementation up and run it. Raises {!Execution_error} when no
-    implementation is registered. *)
+val exec : ctx -> Primitive.t -> Granii_graph.Graph.t -> value array -> value
+(** Execute one primitive. SpMM runs the kernel of the operand's localized
+    form (hybrid, BSR or CBM) when the context has one; rank-1 SDDMM runs
+    the hybrid kernel under a hybrid form and the CSR kernel otherwise.
+    Every other primitive has a single kernel. *)
 
 val kernels_of_step :
   Primitive.t -> Granii_graph.Graph.t -> value array -> value ->

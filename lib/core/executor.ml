@@ -17,7 +17,6 @@ type report = {
   layout_time : float;
   per_step : (Primitive.t * Plan.phase * float) list;
   intermediates : (int * value) list;
-  trace : string list;
 }
 
 exception Execution_error = Dispatch.Execution_error
@@ -55,7 +54,7 @@ let step_attrs ~threads ~ctx (s : Plan.step) args v =
     [ ("prim", Primitive.name s.Plan.prim);
       ("phase", phase_name s.Plan.phase);
       ("format",
-       Dispatch.fmt_to_string (Dispatch.format_of ctx s.Plan.prim args));
+       Locality.format_to_string (Dispatch.format_of ctx s.Plan.prim args));
       ("shape", Printf.sprintf "%dx%d" r c);
       ("threads", string_of_int threads) ]
   in
@@ -138,59 +137,94 @@ let run_metrics (obs : Obs.t) ws before =
       Obs.Metrics.set_gauge m "gc.major_words" g.Gc.major_words;
       Obs.Metrics.add m "engine.runs" 1
 
-(* ---- the dispatch loop ----
+(* ---- the step loop ----
 
-   All policy lives elsewhere: the engine owns pool/workspace/cache/layout
-   and was validated at construction; the pass pipeline decided what is
-   wired in (argument lowering, liveness recycling, layout bracketing,
-   cache keys). What remains here is: resolve arguments, dispatch each step
-   through the kernel registry, time it, and recycle dead buffers. *)
+   One interpreter serves [exec] and [exec_iterations]. The engine owns
+   every policy (pool, workspace, cache, layout) and was validated at
+   construction; what remains here is: enter the layout bracket, resolve
+   arguments, run each step's kernel, time it, and leave the bracket.
 
-let exec_prepared ~seed ~engine ~timing ~graph ~bindings (prep : Pass.prepared) =
+   [iterations = None] is a one-pass run ([exec]): every step in plan
+   order, served from the subtree cache when the engine has one, and with
+   each intermediate's buffer recycled at its last use under a workspace
+   with [keep_intermediates = false] ({!Liveness}).
+
+   [iterations = Some k] is the steady-state driver: setup steps run once,
+   then [k] passes over the per-iteration steps, each in its own
+   [iteration] span, after returning the previous pass's buffers to the
+   workspace arena. Argument arrays are preallocated and input bindings
+   resolved once, so with a workspace engine the loop body performs no
+   per-step minor allocation beyond what the kernels themselves do. The
+   subtree cache is not consulted: per-iteration steps recompute identical
+   values by construction, so cache hits would fake the steady state this
+   driver measures. *)
+
+let run ~seed ~engine ~timing ~graph ~bindings ~iterations (plan : Plan.t) =
+  let one_pass = iterations = None in
   let pool = Engine.pool engine and ws = Engine.workspace engine in
   let obs = Engine.obs engine in
   let tr = obs.Obs.trace in
   let exec_span = bracket_span tr ~cat:"engine" "execute" in
-  let cache =
-    match (Engine.cache engine, prep.Pass.cache_keys) with
-    | Some c, Some keys ->
-        Engine.cache_bind_graph c graph;
-        Some (c, keys)
-    | _ -> None
-  in
+  let cache = if one_pass then Engine.cache engine else None in
+  Option.iter (fun c -> Engine.cache_bind_graph c graph) cache;
   let orig_n = Granii_graph.Graph.n_nodes graph in
   let layout_span = bracket_span tr ~cat:"engine" "layout" in
   let lstate, graph, bindings =
-    Pass.Layout.enter ~locality:prep.Pass.locality ~graph ~bindings
+    Layout.enter ~locality:(Engine.locality engine) ~graph ~bindings
   in
-  List.iter (fun (_, v) -> Pass.Layout.register lstate v) bindings;
+  List.iter (fun (_, v) -> Layout.register lstate v) bindings;
   bracket_exit tr layout_span ~attrs:[ ("stage", "enter") ] ();
-  let ctx = { Dispatch.pool; ws; localize = Pass.Layout.form_of lstate } in
+  let ctx = { Dispatch.pool; ws; localize = Layout.form_of lstate } in
   (match ws with Some w -> Workspace.reclaim w | None -> ());
   let ws_before = Option.map Workspace.stats ws in
-  let steps = prep.Pass.steps in
+  let steps = Array.of_list plan.Plan.steps in
   let n = Array.length steps in
   let slots : value option array = Array.make n None in
+  let graph_token = Vsparse graph.Granii_graph.Graph.adj in
+  let resolve name =
+    (* [__graph__] is the token argument of Degree steps; its value is
+       never inspected *)
+    if String.equal name "__graph__" then graph_token
+    else
+      match List.assoc_opt name bindings with
+      | Some v -> v
+      | None -> err "unbound input %s" name
+  in
   let lookup = function
     | Plan.Computed i -> (
         match slots.(i) with
         | Some v -> v
         | None -> err "step t%d used before being computed" i)
-    | Plan.Input "__graph__" ->
-        (* Token argument of Degree steps; its value is never inspected. *)
-        Vsparse graph.Granii_graph.Graph.adj
-    | Plan.Input name -> (
-        match List.assoc_opt name bindings with
-        | Some v -> v
-        | None -> err "unbound input %s" name)
+    | Plan.Input name -> resolve name
   in
-  let arg_values i (s : Plan.step) =
-    match prep.Pass.args with
-    | Some srcs -> Array.map lookup srcs.(i)
-    | None -> Array.of_list (List.map lookup s.Plan.args)
+  let args_src =
+    Array.map (fun (s : Plan.step) -> Array.of_list s.Plan.args) steps
+  in
+  (* input operands never change across passes: resolve them once; the
+     placeholder in Computed positions is overwritten before first use *)
+  let args_val =
+    Array.map
+      (Array.map (function
+        | Plan.Input name -> resolve name
+        | Plan.Computed _ -> graph_token))
+      args_src
+  in
+  let refresh_args i =
+    let src = args_src.(i) and dst = args_val.(i) in
+    for j = 0 to Array.length src - 1 do
+      match Array.unsafe_get src j with
+      | Plan.Computed _ as c -> Array.unsafe_set dst j (lookup c)
+      | Plan.Input _ -> ()
+    done;
+    dst
+  in
+  let live =
+    if one_pass && ws <> None && not (Engine.keep_intermediates engine) then
+      Some (Liveness.analyze plan)
+    else None
   in
   let free_dead_after i =
-    match prep.Pass.live with
+    match live with
     | None -> ()
     | Some lv ->
         List.iter
@@ -219,254 +253,112 @@ let exec_prepared ~seed ~engine ~timing ~graph ~bindings (prep : Pass.prepared) 
           (Liveness.dead_after lv i)
   in
   let threads = Engine.threads engine in
-  let feed = feeds_oracle engine in
-  let setup_time = ref 0. and iteration_time = ref 0. in
-  let per_step = ref [] in
-  Array.iteri
-    (fun i (s : Plan.step) ->
-      let args = arg_values i s in
-      let sp = step_span_enter tr s in
-      let cached =
-        match cache with
-        | None -> None
-        | Some (c, keys) -> Engine.cache_find c keys.(i)
-      in
-      if cache <> None then
-        Obs.count obs
-          (match cached with Some _ -> "cache.hits" | None -> "cache.misses")
-          1;
-      let value, elapsed, paired =
-        match (cached, timing) with
-        | Some (v, measured), Measure ->
-            (* the work is genuinely skipped; charge what it cost when it ran *)
-            (v, measured, false)
-        | Some (v, _), Simulate profile ->
-            (* simulated jitter is seeded per step index, which differs
-               between plans — recompute the analytic time for THIS step so
-               a cache hit is timing-transparent in Simulate mode *)
-            (v, analytic_time ~threads ~seed profile s graph args v, false)
-        | None, Measure ->
-            let v, t =
-              Timer.measure_wall (fun () ->
-                  Dispatch.exec ctx s.Plan.prim graph args)
-            in
-            Engine.cache_insert engine s.Plan.skey v t;
-            (v, t, feed)
-        | None, Simulate profile ->
-            let v = Dispatch.exec ctx s.Plan.prim graph args in
-            let t = analytic_time ~threads ~seed profile s graph args v in
-            Engine.cache_insert engine s.Plan.skey v t;
-            (v, t, false)
-      in
-      step_done ~engine ~paired sp ~threads ~ctx s graph args value elapsed;
-      slots.(s.Plan.idx) <- Some value;
-      (* setup outputs are iteration-stable: candidates for the localized form *)
-      if s.Plan.phase = Plan.Setup then Pass.Layout.register lstate value;
-      (match s.Plan.phase with
-      | Plan.Setup -> setup_time := !setup_time +. elapsed
-      | Plan.Per_iteration -> iteration_time := !iteration_time +. elapsed);
-      per_step := (s.Plan.prim, s.Plan.phase, elapsed) :: !per_step;
-      free_dead_after s.Plan.idx)
-    steps;
-  let output = lookup prep.Pass.plan.Plan.output in
-  let intermediates =
-    if Engine.keep_intermediates engine then begin
-      let acc = ref [] in
-      for i = n - 1 downto 0 do
-        match slots.(i) with Some v -> acc := (i, v) :: !acc | None -> ()
-      done;
-      !acc
-    end
-    else []
-  in
-  let exit_span = bracket_span tr ~cat:"engine" "layout" in
-  let output, intermediates, layout_time =
-    Pass.Layout.exit_ lstate ~n:orig_n output intermediates
-  in
-  bracket_exit tr exit_span ~attrs:[ ("stage", "exit") ] ();
-  run_metrics obs ws ws_before;
-  bracket_exit tr exec_span
-    ~attrs:[ ("plan", prep.Pass.plan.Plan.name) ]
-    ();
-  { output;
-    setup_time = !setup_time;
-    iteration_time = !iteration_time;
-    layout_time;
-    per_step = List.rev !per_step;
-    intermediates;
-    trace = prep.Pass.trace }
-
-let exec ?(seed = 0) ?disable ~engine ~timing ~graph ~bindings (plan : Plan.t) =
-  exec_prepared ~seed ~engine ~timing ~graph ~bindings
-    (Pass.prepare ?disable engine plan)
-
-(* ---- steady-state iteration driver ----
-
-   [exec] pays per-step bookkeeping (argument lists, timing closures) that
-   is invisible for a single execution but IS the allocation profile of a
-   trainer epoch loop or a profiling sweep. This driver hoists all of it:
-   argument arrays are preallocated per step and input bindings resolved
-   once, setup steps run once, and each iteration re-executes only the
-   per-iteration steps after returning the previous iteration's buffers to
-   the workspace arena — so with a workspace engine the loop body performs
-   no per-step minor allocation beyond what the kernels themselves do. The
-   subtree cache is {e not} consulted here: per-iteration steps recompute
-   identical values by construction, so serving them from the cache would
-   make the steady state it exists to measure meaningless. *)
-
-let exec_iterations ?(seed = 0) ?disable ~engine ~timing ~graph ~bindings
-    ~iterations (plan : Plan.t) =
-  if iterations < 1 then invalid_arg "Executor.exec_iterations: iterations < 1";
-  let prep = Pass.prepare ?disable engine plan in
-  let pool = Engine.pool engine and ws = Engine.workspace engine in
-  let obs = Engine.obs engine in
-  let tr = obs.Obs.trace in
-  let exec_span = bracket_span tr ~cat:"engine" "execute" in
-  (match ws with Some w -> Workspace.reclaim w | None -> ());
-  let ws_before = Option.map Workspace.stats ws in
-  let orig_n = Granii_graph.Graph.n_nodes graph in
-  let layout_span = bracket_span tr ~cat:"engine" "layout" in
-  let lstate, graph, bindings =
-    Pass.Layout.enter ~locality:prep.Pass.locality ~graph ~bindings
-  in
-  List.iter (fun (_, v) -> Pass.Layout.register lstate v) bindings;
-  bracket_exit tr layout_span ~attrs:[ ("stage", "enter") ] ();
-  let ctx = { Dispatch.pool; ws; localize = Pass.Layout.form_of lstate } in
-  let steps = prep.Pass.steps in
-  let n = Array.length steps in
-  let slots : value option array = Array.make n None in
-  let graph_token = Vsparse graph.Granii_graph.Graph.adj in
-  let resolve name =
-    if String.equal name "__graph__" then graph_token
-    else
-      match List.assoc_opt name bindings with
-      | Some v -> v
-      | None -> err "unbound input %s" name
-  in
-  let args_src =
-    match prep.Pass.args with
-    | Some srcs -> srcs
-    | None -> Array.map (fun (s : Plan.step) -> Array.of_list s.Plan.args) steps
-  in
-  (* input operands never change across iterations: resolve them once; the
-     placeholder in Computed positions is overwritten before first use *)
-  let args_val =
-    Array.map
-      (fun src ->
-        Array.map
-          (function Plan.Input name -> resolve name | Plan.Computed _ -> graph_token)
-          src)
-      args_src
-  in
-  let refresh_args i =
-    let src = args_src.(i) and dst = args_val.(i) in
-    for j = 0 to Array.length src - 1 do
-      match Array.unsafe_get src j with
-      | Plan.Computed c -> (
-          match slots.(c) with
-          | Some v -> Array.unsafe_set dst j v
-          | None -> err "step t%d used before being computed" c)
-      | Plan.Input _ -> ()
-    done;
-    dst
-  in
-  let per_step_time = Array.make n 0. in
-  let threads = Engine.threads engine in
-  let paired =
+  let feed =
     match timing with Measure -> feeds_oracle engine | Simulate _ -> false
   in
-  let exec_step (s : Plan.step) args =
+  let per_step_time = Array.make n 0. in
+  let setup_time = ref 0. and iteration_time = ref 0. in
+  let step i =
+    let s = Array.unsafe_get steps i in
+    let args = refresh_args i in
     let sp = step_span_enter tr s in
-    let v, t =
-      match timing with
-      | Measure ->
+    let cached =
+      match cache with
+      | None -> None
+      | Some c ->
+          let hit = Engine.cache_find c s.Plan.skey in
+          Obs.count obs
+            (match hit with Some _ -> "cache.hits" | None -> "cache.misses")
+            1;
+          hit
+    in
+    let value, elapsed, paired =
+      match (cached, timing) with
+      | Some (v, measured), Measure ->
+          (* the work is genuinely skipped; charge what it cost when it ran *)
+          (v, measured, false)
+      | Some (v, _), Simulate profile ->
+          (* simulated jitter is seeded per step index, which differs
+             between plans — recompute the analytic time for THIS step so
+             a cache hit is timing-transparent in Simulate mode *)
+          (v, analytic_time ~threads ~seed profile s graph args v, false)
+      | None, Measure ->
           let t0 = Timer.wall () in
           let v = Dispatch.exec ctx s.Plan.prim graph args in
-          (v, Timer.wall () -. t0)
-      | Simulate profile ->
+          (v, Timer.wall () -. t0, feed)
+      | None, Simulate profile ->
           let v = Dispatch.exec ctx s.Plan.prim graph args in
-          (v, analytic_time ~threads ~seed profile s graph args v)
+          (v, analytic_time ~threads ~seed profile s graph args v, false)
     in
-    step_done ~engine ~paired sp ~threads ~ctx s graph args v t;
-    (v, t)
+    (match (cache, cached) with
+    | Some _, None -> Engine.cache_insert engine s.Plan.skey value elapsed
+    | _ -> ());
+    step_done ~engine ~paired sp ~threads ~ctx s graph args value elapsed;
+    slots.(i) <- Some value;
+    per_step_time.(i) <- elapsed;
+    (match s.Plan.phase with
+    | Plan.Setup ->
+        (* setup outputs are iteration-stable: candidates for the
+           localized form *)
+        Layout.register lstate value;
+        setup_time := !setup_time +. elapsed
+    | Plan.Per_iteration -> iteration_time := !iteration_time +. elapsed);
+    free_dead_after i
   in
-  let is_iter =
-    Array.map (fun (s : Plan.step) -> s.Plan.phase = Plan.Per_iteration) steps
-  in
-  let setup_time = ref 0. in
-  Array.iteri
-    (fun i (s : Plan.step) ->
-      if not is_iter.(i) then begin
-        let v, t = exec_step s (refresh_args i) in
-        slots.(i) <- Some v;
-        Pass.Layout.register lstate v;
-        per_step_time.(i) <- t;
-        setup_time := !setup_time +. t
-      end)
-    steps;
-  (* arrays backing setup values must survive every iteration, even when a
-     per-iteration step's value degenerates to sharing one of them *)
-  let setup_backing =
-    Array.to_list steps
-    |> List.concat_map (fun (s : Plan.step) ->
-           if is_iter.(s.Plan.idx) then []
-           else
-             match slots.(s.Plan.idx) with
-             | Some v -> Dispatch.backing_arrays v
-             | None -> [])
-  in
-  let release_iteration_slots () =
-    for i = 0 to n - 1 do
-      if is_iter.(i) then begin
-        (match slots.(i) with
-        | Some v ->
-            List.iter
-              (fun a ->
-                if not (List.exists (fun sb -> sb == a) setup_backing) then
-                  Workspace.give_back ws a)
-              (Dispatch.backing_arrays v)
-        | None -> ());
-        slots.(i) <- None
-      end
-    done
-  in
-  let total_iter_time = ref 0. in
-  for it = 1 to iterations do
-    if it > 1 then release_iteration_slots ();
-    let it_span =
-      match tr with
-      | None -> None
-      | Some t ->
-          let sp = Obs.Trace.enter t ~cat:"engine" "iteration" in
-          Obs.Trace.add_attrs sp [ ("i", string_of_int it) ];
-          Some sp
-    in
-    for i = 0 to n - 1 do
-      if is_iter.(i) then begin
-        let s = Array.unsafe_get steps i in
-        let v, t = exec_step s (refresh_args i) in
-        slots.(i) <- Some v;
-        per_step_time.(i) <- t;
-        total_iter_time := !total_iter_time +. t
-      end
-    done;
-    bracket_exit tr it_span ()
-  done;
-  let output =
-    match prep.Pass.plan.Plan.output with
-    | Plan.Computed i -> (
-        match slots.(i) with
-        | Some v -> v
-        | None -> err "plan output t%d missing" i)
-    | Plan.Input name -> resolve name
-  in
-  let per_step =
-    Array.to_list
-      (Array.map
-         (fun (s : Plan.step) ->
-           (s.Plan.prim, s.Plan.phase, per_step_time.(s.Plan.idx)))
-         steps)
-  in
+  (match iterations with
+  | None ->
+      for i = 0 to n - 1 do
+        step i
+      done
+  | Some iterations ->
+      let is_iter =
+        Array.map
+          (fun (s : Plan.step) -> s.Plan.phase = Plan.Per_iteration)
+          steps
+      in
+      for i = 0 to n - 1 do
+        if not is_iter.(i) then step i
+      done;
+      (* arrays backing setup values must survive every iteration, even
+         when a per-iteration step's value degenerates to sharing one *)
+      let setup_backing =
+        List.concat
+          (List.init n (fun i ->
+               match slots.(i) with
+               | Some v when not is_iter.(i) -> Dispatch.backing_arrays v
+               | _ -> []))
+      in
+      let release_iteration_slots () =
+        for i = 0 to n - 1 do
+          if is_iter.(i) then begin
+            (match slots.(i) with
+            | Some v ->
+                List.iter
+                  (fun a ->
+                    if not (List.exists (fun sb -> sb == a) setup_backing)
+                    then Workspace.give_back ws a)
+                  (Dispatch.backing_arrays v)
+            | None -> ());
+            slots.(i) <- None
+          end
+        done
+      in
+      for it = 1 to iterations do
+        if it > 1 then release_iteration_slots ();
+        let it_span =
+          match tr with
+          | None -> None
+          | Some t ->
+              let sp = Obs.Trace.enter t ~cat:"engine" "iteration" in
+              Obs.Trace.add_attrs sp [ ("i", string_of_int it) ];
+              Some sp
+        in
+        for i = 0 to n - 1 do
+          if is_iter.(i) then step i
+        done;
+        bracket_exit tr it_span ()
+      done);
+  let output = lookup plan.Plan.output in
   let intermediates =
     if Engine.keep_intermediates engine then begin
       let acc = ref [] in
@@ -479,22 +371,36 @@ let exec_iterations ?(seed = 0) ?disable ~engine ~timing ~graph ~bindings
   in
   let exit_span = bracket_span tr ~cat:"engine" "layout" in
   let output, intermediates, layout_time =
-    Pass.Layout.exit_ lstate ~n:orig_n output intermediates
+    Layout.exit_ lstate ~n:orig_n output intermediates
   in
   bracket_exit tr exit_span ~attrs:[ ("stage", "exit") ] ();
   run_metrics obs ws ws_before;
   bracket_exit tr exec_span
     ~attrs:
-      [ ("plan", prep.Pass.plan.Plan.name);
-        ("iterations", string_of_int iterations) ]
+      (("plan", plan.Plan.name)
+      ::
+      (match iterations with
+      | None -> []
+      | Some k -> [ ("iterations", string_of_int k) ]))
     ();
   { output;
     setup_time = !setup_time;
-    iteration_time = !total_iter_time /. float_of_int iterations;
+    iteration_time =
+      !iteration_time /. float_of_int (Option.value iterations ~default:1);
     layout_time;
-    per_step;
-    intermediates;
-    trace = prep.Pass.trace }
+    per_step =
+      List.init n (fun i ->
+          let s = steps.(i) in
+          (s.Plan.prim, s.Plan.phase, per_step_time.(i)));
+    intermediates }
+
+let exec ?(seed = 0) ~engine ~timing ~graph ~bindings plan =
+  run ~seed ~engine ~timing ~graph ~bindings ~iterations:None plan
+
+let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
+    plan =
+  if iterations < 1 then invalid_arg "Executor.exec_iterations: iterations < 1";
+  run ~seed ~engine ~timing ~graph ~bindings ~iterations:(Some iterations) plan
 
 let estimate ?(seed = 0) ~profile ~env (plan : Plan.t) =
   let setup = ref 0. and iter = ref 0. in

@@ -1,12 +1,12 @@
 (** Plan execution, with real or simulated timing.
 
     The executor is the thin top of the execution stack
-    ({!Dispatch} < {!Engine} < {!Pass} < [Executor]): {!exec} prepares the
-    plan through the pass pipeline and then runs a dispatch loop that
-    resolves arguments, routes each step through the kernel registry and
-    accumulates times. Everything configurable — pool, workspace arena,
-    subtree cache, locality layout, liveness policy — lives in the
-    {!Engine.t} the caller constructs once.
+    ({!Dispatch} < {!Engine} < {!Layout} < [Executor]): one step loop
+    serves {!exec} and {!exec_iterations}. It enters the {!Layout}
+    bracket, resolves each step's arguments, runs the step through
+    {!Dispatch.exec}, times it, and leaves the bracket. Everything
+    configurable — pool, workspace arena, subtree cache, locality layout,
+    liveness policy — lives in the {!Engine.t} the caller constructs once.
 
     Every step is {e always} executed for real (so numerical results can be
     cross-checked between candidates); what differs is the clock:
@@ -28,8 +28,8 @@
     so all values produced by the previous run on the same workspace are
     invalidated by the next one — copy anything you keep. Outputs are
     bitwise identical to the allocating path. With
-    [keep_intermediates = false], the {!Pass.liveness} pass additionally
-    recycles each intermediate's buffer the moment its last reader retires
+    [keep_intermediates = false], {!exec} additionally recycles each
+    intermediate's buffer the moment its last reader retires
     (the default keeps them alive — {!Granii_gnn.Autodiff} reads every
     intermediate in its backward pass).
 
@@ -87,9 +87,6 @@ type report = {
       (** every step's output, by step index — consumed by the reverse pass
           of {!Granii_gnn.Autodiff}; empty when run with
           [keep_intermediates = false] *)
-  trace : string list;
-      (** names of the {!Pass} pipeline passes that prepared this run, in
-          application order *)
 }
 
 exception Execution_error of string
@@ -106,20 +103,19 @@ val apply :
     outputs are drawn from the workspace arena. *)
 
 val exec :
-  ?seed:int -> ?disable:string list -> engine:Engine.t -> timing:timing ->
+  ?seed:int -> engine:Engine.t -> timing:timing ->
   graph:Granii_graph.Graph.t ->
   bindings:(string * value) list -> Plan.t -> report
-(** Executes the plan once under the engine's configuration. Leaf names are
-    resolved in [bindings]; the graph's {m \tilde A} and normalization
-    vector are available to [Degree] steps. [disable] skips the named
-    {!Pass} pipeline passes (ablation/debugging). Raises
-    {!Execution_error} on an unbound input or an argument-kind mismatch
-    (which would indicate an enumeration bug), and {!Engine.Error} on a
-    cache/graph fingerprint mismatch. Bindings must not be backed by
+(** Executes the plan once under the engine's configuration, every step in
+    plan order. Leaf names are resolved in [bindings]; the graph's
+    {m \tilde A} and normalization vector are available to [Degree] steps.
+    Raises {!Execution_error} on an unbound input or an argument-kind
+    mismatch (which would indicate an enumeration bug), and {!Engine.Error}
+    on a cache/graph fingerprint mismatch. Bindings must not be backed by
     buffers issued from the engine's own workspace. *)
 
 val exec_iterations :
-  ?seed:int -> ?disable:string list -> engine:Engine.t -> timing:timing ->
+  ?seed:int -> engine:Engine.t -> timing:timing ->
   graph:Granii_graph.Graph.t ->
   bindings:(string * value) list -> iterations:int -> Plan.t -> report
 (** Steady-state driver: setup steps run once, per-iteration steps run
@@ -130,8 +126,8 @@ val exec_iterations :
     [per_step] and [intermediates] reflect the last iteration. The
     engine's subtree cache is {e not} consulted (per-iteration steps
     recompute identical values by construction, so cache hits would fake
-    the steady state this driver measures). Raises [Invalid_argument] when
-    [iterations < 1]. *)
+    the steady state this driver measures), and buffers are not recycled
+    by liveness. Raises [Invalid_argument] when [iterations < 1]. *)
 
 (** {2 Analytic estimation} *)
 

@@ -65,11 +65,11 @@ val optimize_localized :
     result coincides with {!optimize}. Feed [config] to {!engine_config}. *)
 
 val execute_with :
-  ?seed:int -> ?disable:string list -> engine:Engine.t ->
+  ?seed:int -> engine:Engine.t ->
   timing:Executor.timing -> graph:Granii_graph.Graph.t ->
   bindings:(string * Executor.value) list -> decision -> Executor.report
 (** Runs the selected plan under a validated {!Engine.t} (see
-    {!Executor.exec}); [disable] skips named {!Pass} pipeline passes. *)
+    {!Executor.exec}). *)
 
 val engine_config :
   ?threads:int -> ?workspace:bool -> ?cache:bool ->

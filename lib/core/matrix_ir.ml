@@ -27,8 +27,6 @@ let features name = { name; rows = Dim.N; cols = Dim.Kin; attr = Dense Data }
 let weight ?(rows = Dim.Kin) ?(cols = Dim.Kout) name =
   { name; rows; cols; attr = Dense Weight }
 
-let dense_leaf name rows cols = { name; rows; cols; attr = Dense Data }
-
 exception Ill_formed of string
 
 let ill fmt = Format.kasprintf (fun s -> raise (Ill_formed s)) fmt
@@ -147,13 +145,6 @@ let pp_nonlinear ppf = function
   | Sigmoid -> Format.fprintf ppf "sigmoid"
   | Edge_softmax -> Format.fprintf ppf "edge_softmax"
   | Log_softmax -> Format.fprintf ppf "log_softmax"
-
-let pp_attr ppf = function
-  | Dense Data -> Format.fprintf ppf "dense:data"
-  | Dense Weight -> Format.fprintf ppf "dense:weight"
-  | Sparse Weighted -> Format.fprintf ppf "sparse:weighted"
-  | Sparse Unweighted -> Format.fprintf ppf "sparse:unweighted"
-  | Sparse Diagonal -> Format.fprintf ppf "sparse:diagonal"
 
 let rec pp ppf = function
   | Leaf l -> Format.fprintf ppf "%s" l.name

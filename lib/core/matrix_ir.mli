@@ -57,9 +57,6 @@ val features : string -> leaf
 val weight : ?rows:Dim.t -> ?cols:Dim.t -> string -> leaf
 (** Dense learnable weight, [Kin]x[Kout] by default. *)
 
-val dense_leaf : string -> Dim.t -> Dim.t -> leaf
-(** Dense data leaf with explicit shape. *)
-
 (** {1 Shape and attribute inference} *)
 
 exception Ill_formed of string
@@ -70,8 +67,6 @@ val infer : expr -> (Dim.t * Dim.t) * attr
     broadcast operands, or chains shorter than two elements. *)
 
 val shape : expr -> Dim.t * Dim.t
-
-val attr_of : expr -> attr
 
 val is_diagonal : expr -> bool
 
@@ -89,8 +84,6 @@ val key : expr -> string
     common-subexpression detection. *)
 
 val equal : expr -> expr -> bool
-
-val pp_attr : Format.formatter -> attr -> unit
 
 val pp_nonlinear : Format.formatter -> nonlinear -> unit
 

@@ -13,16 +13,13 @@ val templates : Primitive.t list
 (** The primitive instances profiled (every name in the vocabulary, with
     both embedding-size roles for the size-parametric ones). *)
 
-val embedding_grid : int list
-(** The profiled embedding sizes: powers of two from 32 to 2048 (paper,
-    Sec. V). *)
-
 val collect :
   ?seed:int -> ?graphs:Granii_graph.Graph.t list -> ?sizes:int list ->
   ?threads_grid:int list ->
   profile:Granii_hw.Hw_profile.t -> unit -> datasets
 (** Runs the sweep. Defaults: the {!Granii_graph.Datasets.training_pool},
-    {!embedding_grid} and [threads_grid = [1]] (sequential kernels only).
+    the embedding sizes 32 to 2048 in powers of two (paper, Sec. V) and
+    [threads_grid = [1]] (sequential kernels only).
     Pass e.g. [~threads_grid:[1; 2; 4; 8]] to profile the multicore engine:
     each sample is featurized with its thread count so the learned models
     can rank compositions differently at different parallelism levels.

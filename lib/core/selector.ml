@@ -10,17 +10,6 @@ type choice = {
 
 let scenario_of ~k_in ~k_out = if k_in >= k_out then Dim.Shrinking else Dim.Growing
 
-let rank ~oracle ~feats ~env ~iterations (compiled : Codegen.t) =
-  let scenario = scenario_of ~k_in:env.Dim.k_in ~k_out:env.Dim.k_out in
-  let cands = Codegen.for_scenario compiled scenario in
-  let scored =
-    List.map
-      (fun (c : Codegen.ccand) ->
-        (c, Cost_oracle.predict_plan oracle feats ~env ~iterations c.Codegen.plan))
-      cands
-  in
-  List.sort (fun (_, a) (_, b) -> compare a b) scored
-
 let measure ?seed ?pool ?obs ~timing ~graph ~bindings ~env ~iterations
     (compiled : Codegen.t) =
   let scenario = scenario_of ~k_in:env.Dim.k_in ~k_out:env.Dim.k_out in
@@ -68,14 +57,19 @@ type localized_choice = {
    [Learned] model (GBRT log-runtime scale) an absolute analytic delta
    could dwarf the base and go negative. The profile-less Flops model has
    no layout terms at all — the minimum is then the legacy choice. The
-   comparison is a strict [<] with the default configuration enumerated
+   ranking is a stable sort with the default configuration enumerated
    first, so a configuration must be predicted strictly cheaper to
-   displace the legacy path. *)
-let rank_localized ~oracle ~feats ~env ~iterations ?(configs = Locality.all_configs)
+   displace the legacy path. Plain [select]/[rank] are the
+   [[Locality.default]] case: its adjustment is exactly [0.], so the
+   analytic base is not computed at all. *)
+let rank_localized ~oracle ~feats ~env ~iterations ~configs
     (compiled : Codegen.t) =
   let scenario = scenario_of ~k_in:env.Dim.k_in ~k_out:env.Dim.k_out in
   let cands = Codegen.for_scenario compiled scenario in
-  let profile = Cost_oracle.profile oracle in
+  let profile =
+    if List.for_all Locality.is_default configs then None
+    else Cost_oracle.profile oracle
+  in
   let threads = feats.Featurizer.threads in
   let stats = feats.Featurizer.stats in
   let scored =
@@ -137,32 +131,30 @@ let record_selection obs ~name ~plan ~considered ~selection_time =
       | None -> ()
       | Some m -> Obs.Metrics.observe m "select.time" selection_time)
 
-let select_localized ?obs ~oracle ~feats ~env ~iterations ?configs compiled =
+let rank ~oracle ~feats ~env ~iterations compiled =
+  List.map
+    (fun (c, _, _, cost) -> (c, cost))
+    (rank_localized ~oracle ~feats ~env ~iterations
+       ~configs:[ Locality.default ] compiled)
+
+(* The argmin itself: the head of the stable ranking, which is the strict
+   minimum with the earliest candidate and configuration winning ties. *)
+let argmin ?obs ~name ~oracle ~feats ~env ~iterations ~configs compiled =
   let result, selection_time =
     Granii_hw.Timer.measure_wall (fun () ->
         match
-          rank_localized ~oracle ~feats ~env ~iterations ?configs compiled
+          rank_localized ~oracle ~feats ~env ~iterations ~configs compiled
         with
         | [] ->
             invalid_arg
-              (Printf.sprintf
-                 "Selector.select_localized: no candidate for scenario in %s"
-                 compiled.Codegen.model_name)
-        | (c0, cfg0, base0, cost0) :: rest ->
-            let (c, cfg, base, cost), considered =
-              (* stable sort + default-first enumeration already favors the
-                 legacy path on ties; fold with strict < for clarity *)
-              List.fold_left
-                (fun (((_, _, _, bc) as best), n) ((_, _, _, cc) as cand) ->
-                  ((if cc < bc then cand else best), n + 1))
-                ((c0, cfg0, base0, cost0), 1)
-                rest
-            in
-            (c, cfg, base, cost, considered))
+              (Printf.sprintf "Selector.%s: no candidate for scenario in %s"
+                 name compiled.Codegen.model_name)
+        | ((c, cfg, base, cost) :: _) as ranked ->
+            (c, cfg, base, cost, List.length ranked))
   in
   let candidate, config, base_cost, predicted_cost, considered = result in
-  record_selection obs ~name:"select_localized"
-    ~plan:candidate.Codegen.plan.Plan.name ~considered ~selection_time;
+  record_selection obs ~name ~plan:candidate.Codegen.plan.Plan.name
+    ~considered ~selection_time;
   { lchoice =
       { candidate;
         predicted_cost;
@@ -172,40 +164,12 @@ let select_localized ?obs ~oracle ~feats ~env ~iterations ?configs compiled =
     config;
     base_cost }
 
+let select_localized ?obs ~oracle ~feats ~env ~iterations
+    ?(configs = Locality.all_configs) compiled =
+  argmin ?obs ~name:"select_localized" ~oracle ~feats ~env ~iterations
+    ~configs compiled
+
 let select ?obs ~oracle ~feats ~env ~iterations compiled =
-  let result, selection_time =
-    Granii_hw.Timer.measure_wall (fun () ->
-        let scenario = scenario_of ~k_in:env.Dim.k_in ~k_out:env.Dim.k_out in
-        match Codegen.for_scenario compiled scenario with
-        | [] ->
-            invalid_arg
-              (Printf.sprintf "Selector.select: no candidate for scenario in %s"
-                 compiled.Codegen.model_name)
-        | [ only ] ->
-            (* Fig. 7 fast path: the embedding-size guard already decides. *)
-            ( only,
-              Cost_oracle.predict_plan oracle feats ~env ~iterations
-                only.Codegen.plan,
-              1,
-              false )
-        | several ->
-            let scored =
-              List.map
-                (fun (c : Codegen.ccand) ->
-                  ( c,
-                    Cost_oracle.predict_plan oracle feats ~env ~iterations
-                      c.Codegen.plan ))
-                several
-            in
-            let best, best_cost =
-              List.fold_left
-                (fun ((_, bc) as best) ((_, c) as cand) ->
-                  if c < bc then cand else best)
-                (List.hd scored) (List.tl scored)
-            in
-            (best, best_cost, List.length several, true))
-  in
-  let candidate, predicted_cost, considered, used_cost_models = result in
-  record_selection obs ~name:"select" ~plan:candidate.Codegen.plan.Plan.name
-    ~considered ~selection_time;
-  { candidate; predicted_cost; selection_time; considered; used_cost_models }
+  (argmin ?obs ~name:"select" ~oracle ~feats ~env ~iterations
+     ~configs:[ Locality.default ] compiled)
+    .lchoice

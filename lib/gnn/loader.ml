@@ -164,8 +164,6 @@ let create ?(seed = 0) ?mask ?(threads = 1) ~mode ~fanouts ~batch_size
 
 let batches_per_epoch t = t.per_epoch
 
-let total_batches t = t.total
-
 let stall_time t = t.stall
 
 let next t =

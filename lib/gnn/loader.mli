@@ -63,8 +63,6 @@ val next : t -> batch option
 
 val batches_per_epoch : t -> int
 
-val total_batches : t -> int
-
 val stall_time : t -> float
 (** Cumulative wall seconds {!next} spent waiting on the loader domain
     ([0.] in [Sequential] mode) — the pipeline's stall-fraction numerator. *)

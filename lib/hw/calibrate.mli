@@ -17,11 +17,9 @@ type measurement = {
   elapsed_s : float;      (** wall time the whole pass actually took *)
 }
 
-val default_budget_s : float
-(** [0.2] seconds. *)
-
 val measure : ?budget_s:float -> unit -> measurement
-(** Run the four probes, each bounded by [budget_s /. 4] (at least one
+(** Run the four probes, each bounded by [budget_s /. 4] ([budget_s]
+    defaults to [0.2] seconds; at least one
     repetition each, so the pass can overshoot a very small budget by one
     probe iteration). Raises [Invalid_argument] if [budget_s <= 0]. *)
 

@@ -63,35 +63,21 @@ type kernel =
 val flops : kernel -> float
 (** Floating-point operations the kernel performs. *)
 
-val bytes_streamed : kernel -> float
-(** Bytes moved with streaming (prefetchable) access, assuming 4-byte
-    elements. *)
-
-val bytes_random : kernel -> float
-(** Bytes moved with data-dependent random access. *)
-
-val random_working_set : kernel -> float
-(** Distinct bytes the random-access stream touches (e.g. the gathered
-    dense operand of an SpMM). When this fits in the profile's
-    [cache_bytes], the gathers are cache hits after the first touch and are
-    charged at streaming rate in {!time}; [0.] means the kernel has no
-    random stream. *)
-
-val is_dense_compute : kernel -> bool
-(** Whether the kernel runs at dense ([Gemm]) or irregular throughput. *)
-
 val time : ?threads:int -> ?gather_discount:float -> Hw_profile.t -> kernel -> float
 (** Predicted runtime in seconds, noise-free. [?threads] (default [1])
     models the multicore engine: the compute term scales by
     [1 + 0.85 (t - 1)], the memory term by the much flatter
     [1 + 0.25 (t - 1)] (bandwidth is shared), atomics pay extra contention,
-    and [t] is clamped to the profile's [cores]. Random traffic is split by
-    cache residency: the fraction [min 1 (cache_bytes / working_set)] of
-    {!bytes_random} is charged at streaming rate, the rest at random rate —
-    this makes sparse kernel cost input-size-aware (small graphs keep their
-    gathered operands cache-resident; large ones pay full gather cost).
-    [?gather_discount] (default [0.], clamped to [[0, 1]]) scales
-    {!bytes_random} down by [1 - d]: the locality engine's per-format /
+    and [t] is clamped to the profile's [cores]. Random traffic (bytes
+    moved with data-dependent access) is split by cache residency: the
+    fraction [min 1 (cache_bytes / working_set)] of it is charged at
+    streaming rate, the rest at random rate, where the working set is the
+    distinct bytes the random stream touches (e.g. the gathered dense
+    operand of an SpMM) — this makes sparse kernel cost input-size-aware
+    (small graphs keep their gathered operands cache-resident; large ones
+    pay full gather cost). [?gather_discount] (default [0.], clamped to
+    [[0, 1]]) scales the random bytes down by [1 - d]: the locality
+    engine's per-format /
     per-ordering credit (see [Granii_core.Locality]). *)
 
 val time_noisy : ?threads:int -> Hw_profile.t -> seed:int -> kernel -> float

@@ -32,5 +32,3 @@ let split ?(seed = 0) ~train_fraction d =
     Stdlib.max 1 (Stdlib.min (n - 1) (int_of_float (float_of_int n *. train_fraction)))
   in
   (subset d (Array.sub order 0 n_train), subset d (Array.sub order n_train (n - n_train)))
-
-let map_labels f d = { d with labels = Array.map f d.labels }

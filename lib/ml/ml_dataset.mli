@@ -20,6 +20,3 @@ val split : ?seed:int -> train_fraction:float -> t -> t * t
 val subset : t -> int array -> t
 (** Rows selected by index (with repetition allowed — used for bootstrap
     subsampling). *)
-
-val map_labels : (float -> float) -> t -> t
-(** Label transform, e.g. log-scaling runtimes. *)

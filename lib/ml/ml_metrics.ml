@@ -21,17 +21,6 @@ let mae truth pred =
   done;
   !acc /. float_of_int n
 
-let mape truth pred =
-  let n = check "Ml_metrics.mape" truth pred in
-  let acc = ref 0. and count = ref 0 in
-  for i = 0 to n - 1 do
-    if truth.(i) <> 0. then begin
-      acc := !acc +. Float.abs ((truth.(i) -. pred.(i)) /. truth.(i));
-      incr count
-    end
-  done;
-  if !count = 0 then 0. else !acc /. float_of_int !count
-
 let r2 truth pred =
   let n = check "Ml_metrics.r2" truth pred in
   let mean = Granii_tensor.Vector.mean truth in

@@ -6,10 +6,6 @@ val rmse : float array -> float array -> float
 
 val mae : float array -> float array -> float
 
-val mape : float array -> float array -> float
-(** Mean absolute percentage error; samples with a zero true value are
-    skipped. *)
-
 val r2 : float array -> float array -> float
 (** Coefficient of determination w.r.t. the mean predictor. *)
 

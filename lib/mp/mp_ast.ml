@@ -44,21 +44,3 @@ let validate model =
       if not (List.mem w used) then
         invalid_arg (Printf.sprintf "Mp_ast.validate: unused weight spec %s" w))
     declared
-
-let rec pp_feat ppf = function
-  | Input -> Format.fprintf ppf "h"
-  | Linear (w, f) -> Format.fprintf ppf "linear(%s, %a)" w pp_feat f
-  | Aggregate f -> Format.fprintf ppf "update_all(copy_u, sum)(%a)" pp_feat f
-  | Scale_by_norm f -> Format.fprintf ppf "norm(%a)" pp_feat f
-  | Scale_by_inv_degree f -> Format.fprintf ppf "mean_norm(%a)" pp_feat f
-  | Eps_scale f -> Format.fprintf ppf "eps_scale(%a)" pp_feat f
-  | Sum fs ->
-      Format.fprintf ppf "(%a)"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf " + ")
-           pp_feat)
-        fs
-  | Activation (k, f) ->
-      Format.fprintf ppf "%a(%a)" Granii_core.Matrix_ir.pp_nonlinear k pp_feat f
-  | Attention_aggregate { value } ->
-      Format.fprintf ppf "gat_aggregate(%a)" pp_feat value

@@ -57,5 +57,3 @@ type model = {
 val validate : model -> unit
 (** Checks that every [Linear] weight has a spec and vice versa; raises
     [Invalid_argument] otherwise. *)
-
-val pp_feat : Format.formatter -> feat -> unit

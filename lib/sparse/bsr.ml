@@ -53,12 +53,19 @@ let of_csr ?(r = default_block) ?(c = default_block) (m : Csr.t) =
   let nb_rows = (n + r - 1) / r in
   let nb_cols = (m.Csr.n_cols + c - 1) / c in
   (* Pass 1: distinct block columns per block row, via a stamp array (stamp
-     value = block row id, so no O(nb_cols) reset between block rows). *)
+     value = block row id, so no O(nb_cols) reset between block rows). It
+     also rejects a row whose columns are not strictly increasing: a tile
+     slot holds one value, so a duplicate would be overwritten rather than
+     summed, and an unsorted row would accumulate out of Csr order. *)
   let stamp = Array.make (max 1 nb_cols) (-1) in
   let counts = Array.make nb_rows 0 in
   for bi = 0 to nb_rows - 1 do
     for i = bi * r to min n (bi * r + r) - 1 do
       for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+        if p > row_ptr.(i) && col_idx.(p) <= col_idx.(p - 1) then
+          invalid_arg
+            (Printf.sprintf
+               "Bsr.of_csr: row %d columns are not strictly increasing" i);
         let bc = col_idx.(p) / c in
         if stamp.(bc) <> bi then begin
           stamp.(bc) <- bi;

@@ -22,19 +22,19 @@ type t = private {
   nb_cols : int;
   block_ptr : int array;        (** [nb_rows + 1]: stored blocks per block row *)
   block_col : int array;        (** per block, ascending within a block row *)
-  values : float array;         (** [n_blocks * r * c], row-major per block;
+  values : float array;         (** [stored blocks * r * c], row-major per block;
                                     padding slots are [0.] *)
   src : Csr.t;                  (** source matrix: structural ground truth and
                                     the SDDMM output layout *)
 }
 
-val default_block : int
-(** 8 — the tile edge the featurizer's block-density statistic and the cost
-    model's [Spmm_bsr] term assume. *)
-
 val of_csr : ?r:int -> ?c:int -> Csr.t -> t
-(** Tiles a CSR matrix into [r x c] blocks (default {!default_block} both
-    ways). Raises [Invalid_argument] when a block dimension is < 1. *)
+(** Tiles a CSR matrix into [r x c] blocks (default 8 both ways: the tile
+    edge the featurizer's block-density statistic and the cost model's
+    [Spmm_bsr] term assume). Raises [Invalid_argument] when a block
+    dimension is < 1, and when a row's columns are not strictly increasing
+    (a duplicate or an unsorted row), since a tile slot holds one value and
+    the bitwise contract needs Csr entry order. *)
 
 val to_csr : t -> Csr.t
 (** Reconstructs the CSR matrix, reading every entry's value back out of its
@@ -43,11 +43,9 @@ val to_csr : t -> Csr.t
 
 val nnz : t -> int
 
-val n_blocks : t -> int
-
 val fill : t -> float
 (** Fraction of stored tile slots holding a real entry:
-    [nnz / (n_blocks * r * c)]; [1.] for an empty matrix. *)
+    [nnz / (stored blocks * r * c)]; [1.] for an empty matrix. *)
 
 val is_weighted : t -> bool
 

@@ -11,7 +11,12 @@ type t = private {
   n_rows : int;
   n_cols : int;
   row_ptr : int array;        (** length [n_rows + 1] *)
-  col_idx : int array;        (** length [nnz], column indices, sorted per row *)
+  col_idx : int array;
+      (** length [nnz], column indices. {!of_coo} and {!of_dense} give
+          rows strictly increasing (sorted, no duplicates); {!make} does
+          not check order, and {!Granii_graph.Reorder.permute_csr} keeps
+          source entry order, so its rows are unsorted on purpose. {!get}
+          and [Bsr.of_csr] need strictly increasing rows. *)
   values : float array option; (** [None] = unweighted (all entries 1.) *)
 }
 
@@ -23,7 +28,7 @@ val make :
   n_rows:int -> n_cols:int -> row_ptr:int array -> col_idx:int array ->
   values:float array option -> t
 (** Direct constructor; validates monotone [row_ptr], array lengths, and
-    column bounds. *)
+    column bounds, but not the order of columns within a row. *)
 
 val nnz : t -> int
 

@@ -25,14 +25,12 @@ type t = private {
 }
 
 val of_csr : ?width:int -> Csr.t -> t
-(** Splits a CSR matrix. Default [width] is the mean degree rounded up
-    ({!default_width}); [width] is clamped to at least 1. *)
+(** Splits a CSR matrix. Default [width] is the mean degree rounded up;
+    [width] is clamped to at least 1. *)
 
 val to_csr : t -> Csr.t
 (** Reconstructs the CSR matrix from slab + tail. Exact round-trip:
     [to_csr (of_csr m)] equals [m] structurally and bitwise. *)
-
-val default_width : Csr.t -> int
 
 val nnz : t -> int
 

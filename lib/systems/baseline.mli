@@ -28,12 +28,4 @@ val system : t -> System.t
 
 (** {1 Classification helpers (exposed for tests and oracles)} *)
 
-val is_dynamic_pure : Granii_core.Assoc_tree.t -> bool
-(** No precomputed weighted-sparse intermediates: only row-broadcasts and
-    unweighted SpMMs touch the graph. *)
-
-val spmm_dims : Granii_core.Assoc_tree.t -> Granii_core.Dim.t list
-(** The embedding dimension of every SpMM in the tree ([Kin] = aggregation
-    before the update, [Kout] = after). *)
-
 val gemm_count : Granii_core.Assoc_tree.t -> int

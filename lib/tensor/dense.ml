@@ -324,10 +324,6 @@ let scale ?pool ?ws s m =
       done);
   { m with data = out }
 
-let add_row_vector m v =
-  if Array.length v <> m.cols then invalid_arg "Dense.add_row_vector: dimension mismatch";
-  init m.rows m.cols (fun i j -> get m i j +. v.(j))
-
 let row_broadcast ?pool ?ws d m =
   if Array.length d <> m.rows then invalid_arg "Dense.row_broadcast: dimension mismatch";
   let k = m.cols in
@@ -465,15 +461,6 @@ let row_sums m =
         acc := !acc +. get m i j
       done;
       !acc)
-
-let col_sums m =
-  let acc = Vector.zeros m.cols in
-  for i = 0 to m.rows - 1 do
-    for j = 0 to m.cols - 1 do
-      acc.(j) <- acc.(j) +. get m i j
-    done
-  done;
-  acc
 
 let argmax_rows m =
   Array.init m.rows (fun i ->

@@ -88,9 +88,6 @@ val scale : ?pool:Parallel.t -> ?ws:Workspace.t -> float -> t -> t
 val mul_elementwise : ?pool:Parallel.t -> ?ws:Workspace.t -> t -> t -> t
 (** Hadamard product. *)
 
-val add_row_vector : t -> Vector.t -> t
-(** [add_row_vector m v] adds [v] to every row of [m] (bias addition). *)
-
 val concat_cols : t list -> t
 (** Horizontal concatenation (equal row counts) — multi-head attention
     outputs are concatenated along the feature dimension. Raises
@@ -130,8 +127,6 @@ val log_softmax_rows : ?pool:Parallel.t -> ?ws:Workspace.t -> t -> t
 val sum : t -> float
 
 val row_sums : t -> Vector.t
-
-val col_sums : t -> Vector.t
 
 val argmax_rows : t -> int array
 (** Index of the maximum entry of each row (prediction extraction). *)

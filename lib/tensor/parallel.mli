@@ -47,11 +47,6 @@ val balanced_chunks : prefix:int array -> parts:int -> (int * int) array
 
 (** {1 Parallel iteration} *)
 
-val iter_chunks : t -> (int * int) array -> (int -> int -> unit) -> unit
-(** [iter_chunks t ranges f] runs [f lo hi] for every range, distributing
-    ranges over the pool (the caller participates). Re-raises the first
-    chunk exception after all in-flight chunks finish. *)
-
 val rows : ?pool:t -> n:int -> (int -> int -> unit) -> unit
 (** [rows ?pool ~n body] is [body 0 n] when [pool] is absent (or has width
     1), and otherwise partitions [0, n) with {!chunks} across the pool.

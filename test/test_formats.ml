@@ -102,6 +102,44 @@ let test_bsr_spmm =
       let b = Dense.random ~seed:3 m.Csr.n_cols k in
       dense_bits_equal (Bsr.spmm (Bsr.of_csr m) b) (Spmm.run m b))
 
+(* Raw [Csr.make] matrices whose rows may repeat or reorder columns (as
+   [Csr.make] allows and [Reorder.permute_csr] produces): [Bsr.of_csr]
+   must refuse exactly the rows a tile cannot reproduce in Csr order, and
+   be bitwise on everything it accepts. *)
+let raw_csr_gen =
+  let open QCheck2.Gen in
+  let* n_rows = int_range 1 6 in
+  let* n_cols = int_range 1 10 in
+  let* rows = list_repeat n_rows (list_size (int_range 0 5) (int_bound (n_cols - 1))) in
+  let* weighted = bool in
+  let nnz = List.fold_left (fun acc r -> acc + List.length r) 0 rows in
+  let* vals = list_repeat nnz (float_range (-2.) 2.) in
+  let row_ptr = Array.make (n_rows + 1) 0 in
+  List.iteri (fun i r -> row_ptr.(i + 1) <- row_ptr.(i) + List.length r) rows;
+  return
+    (Csr.make ~n_rows ~n_cols ~row_ptr ~col_idx:(Array.of_list (List.concat rows))
+       ~values:(if weighted then Some (Array.of_list vals) else None))
+
+let strictly_increasing_rows (m : Csr.t) =
+  let ok = ref true in
+  for i = 0 to m.Csr.n_rows - 1 do
+    for p = m.Csr.row_ptr.(i) + 1 to m.Csr.row_ptr.(i + 1) - 1 do
+      if m.Csr.col_idx.(p) <= m.Csr.col_idx.(p - 1) then ok := false
+    done
+  done;
+  !ok
+
+let test_bsr_rejects_non_canonical =
+  qtest ~count:300 "bsr: of_csr raises exactly on non-canonical rows"
+    QCheck2.Gen.(quad (int_range 1 4) (int_range 1 4) raw_csr_gen (int_range 1 5))
+    (fun (r, c, m, k) ->
+      match Bsr.of_csr ~r ~c m with
+      | exception Invalid_argument _ -> not (strictly_increasing_rows m)
+      | bm ->
+          let b = Dense.random ~seed:8 m.Csr.n_cols k in
+          strictly_increasing_rows m
+          && dense_bits_equal (Bsr.spmm bm b) (Spmm.run m b))
+
 let test_bsr_spmm_weighted =
   qtest "bsr: weighted spmm bitwise equals csr spmm"
     QCheck2.Gen.(pair square_weighted_gen (int_range 1 9))
@@ -486,6 +524,7 @@ let suite =
     test_bsr_spmm;
     test_bsr_spmm_weighted;
     test_bsr_spmm_shapes;
+    test_bsr_rejects_non_canonical;
     test_bsr_sddmm;
     test_bsr_rank1;
     test_cbm_spmm;

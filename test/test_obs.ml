@@ -288,6 +288,19 @@ let test_json_validate_rejects () =
       ("trailing garbage", "{} extra");
       ("nan literal", "[NaN]") ]
 
+(* RFC 8259: the integer part of a number is a lone 0 or starts with 1-9 *)
+let test_json_leading_zero () =
+  List.iter
+    (fun s ->
+      check_true ("accepts " ^ s) (Obs.Json.validate s = Ok ());
+      check_true ("parses " ^ s) (Result.is_ok (Obs.Json.parse s)))
+    [ "0"; "-0"; "0.5"; "1e-05" ];
+  List.iter
+    (fun s ->
+      check_true ("rejects " ^ s) (Result.is_error (Obs.Json.validate s));
+      check_true ("parse rejects " ^ s) (Result.is_error (Obs.Json.parse s)))
+    [ "01"; "-01"; "00" ]
+
 (* ---- the two clocks ---- *)
 
 let test_wall_vs_cpu_clock () =
@@ -423,6 +436,7 @@ let suite =
       test_costmon_cap;
     Alcotest.test_case "json checker rejection paths" `Quick
       test_json_validate_rejects;
+    Alcotest.test_case "json leading zeros" `Quick test_json_leading_zero;
     Alcotest.test_case "wall vs cpu clock" `Quick test_wall_vs_cpu_clock;
     Alcotest.test_case "disabled sink is bitwise invisible" `Quick
       test_disabled_sink_bitwise_identical;
