@@ -113,17 +113,19 @@ let apply_nonlinear ?pool ?ws kind d =
    values keep the CSR kernel. *)
 
 let format_of ctx (prim : Primitive.t) (args : value array) =
-  let of_operand m =
-    match form_of ctx m with
-    | Some (Fhybrid _) -> Locality.Hybrid
-    | Some (Fbsr _) -> Locality.Bsr
-    | Some (Fcbm _) -> Locality.Cbm
-    | None -> Locality.Csr
-  in
   match (prim, args) with
-  | Primitive.Spmm _, [| Vsparse m; _ |]
-  | Primitive.Sddmm_rank1, [| _; Vsparse m; _ |] ->
-      of_operand m
+  | Primitive.Spmm _, [| Vsparse m; _ |] -> (
+      match form_of ctx m with
+      | Some (Fhybrid _) -> Locality.Hybrid
+      | Some (Fbsr _) -> Locality.Bsr
+      | Some (Fcbm _) -> Locality.Cbm
+      | None -> Locality.Csr)
+  | Primitive.Sddmm_rank1, [| _; Vsparse m; _ |] -> (
+      (* rank-1 SDDMM has a hybrid kernel and a CSR one; BSR and CBM forms
+         run the CSR kernel (see [exec]) *)
+      match form_of ctx m with
+      | Some (Fhybrid _) -> Locality.Hybrid
+      | Some (Fbsr _ | Fcbm _) | None -> Locality.Csr)
   | _ -> Locality.Csr
 
 let bad_arity prim args =

@@ -50,10 +50,10 @@ type ctx = {
 }
 
 val format_of : ctx -> Primitive.t -> value array -> Locality.format
-(** The operand format {!exec} runs a step under: non-CSR only for SpMM
-    and rank-1 SDDMM whose sparse operand has a localized form in the
-    context — exposed so the telemetry layer can attribute a span to the
-    kernel that actually ran. *)
+(** The format of the kernel {!exec} runs a step with: the localized form
+    of an SpMM's sparse operand, [Hybrid] for a rank-1 SDDMM whose operand
+    has a hybrid form, [Csr] otherwise — exposed so the telemetry layer can
+    attribute a span to the kernel that actually ran. *)
 
 val exec : ctx -> Primitive.t -> Granii_graph.Graph.t -> value array -> value
 (** Execute one primitive. SpMM runs the kernel of the operand's localized

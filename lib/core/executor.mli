@@ -2,8 +2,8 @@
 
     The executor is the thin top of the execution stack
     ({!Dispatch} < {!Engine} < {!Layout} < [Executor]): one step loop
-    serves {!exec} and {!exec_iterations}. It enters the {!Layout}
-    bracket, resolves each step's arguments, runs the step through
+    serves {!exec}, {!exec_iterations} and {!exec_batch}. It enters the
+    {!Layout} bracket, resolves each step's arguments, runs the step through
     {!Dispatch.exec}, times it, and leaves the bracket. Everything
     configurable — pool, workspace arena, subtree cache, locality layout,
     liveness policy — lives in the {!Engine.t} the caller constructs once.
@@ -89,6 +89,13 @@ type report = {
           [keep_intermediates = false] *)
 }
 
+type batch_report = {
+  outputs : value list;  (** one per feature matrix, in request order *)
+  widened_steps : int;
+      (** steps executed once over the [n x (B*k)] widened operand; [0] at
+          width 1 *)
+}
+
 exception Execution_error of string
 (** Re-exported {!Dispatch.Execution_error}. *)
 
@@ -128,6 +135,58 @@ val exec_iterations :
     recompute identical values by construction, so cache hits would fake
     the steady state this driver measures), and buffers are not recycled
     by liveness. Raises [Invalid_argument] when [iterations < 1]. *)
+
+(** {2 Batched execution}
+
+    {!exec_batch} runs one plan for B requests that share every binding
+    (weights, adjacency, constants) but the input leaf — the feature
+    matrix ["H"] — which differs per request. A value that does not depend
+    on the input leaf is computed once for the batch. A value that does is
+    held as B per-request blocks or as one wide [n x (B*k)] block, and each
+    step that depends on the input runs in one of two ways:
+
+    - {b widened} — once over the wide operand, when the step is
+      column-independent and its operands allow it;
+    - {b scattered} — once per request on its slice, everything else (GEMM
+      against a shared weight, attention scoring, softmax).
+
+    {3 The batching legality rule}
+
+    A step may be widened only when (a) every input-dependent operand is a
+    per-request dense matrix of identical shape across the batch, (b) every
+    other operand is shared verbatim, and (c) the kernel computes each
+    output column from the same column of the dependent operand(s) only —
+    true for SpMM in every format (per-output-element accumulation over a
+    row's nonzeros, column-independent by construction), row-broadcast,
+    elementwise maps (relu/leaky-relu/sigmoid) and elementwise dense
+    addition; false for GEMM (contraction mixes columns), column-broadcast
+    (the scaling vector is indexed by column) and row-softmax (normalizes
+    across columns). Consequently each request's output is {e bitwise
+    identical} to an {!exec} of the plan with that request's features on
+    the same engine — the grid in [test/test_serve.ml] pins exactly that
+    across threads, workspace and layouts.
+
+    A batched run enters the same {!Layout} bracket as {!exec}: each
+    request's feature matrix is row-permuted like any node-indexed
+    binding, and each output is inverse-permuted on exit. It skips the
+    subtree cache (step keys are the same across requests), recycles no
+    buffer before the run ends, and emits one step event per kernel
+    invocation (one for a widened step, B for a scattered one). *)
+
+val exec_batch :
+  ?seed:int -> engine:Engine.t -> timing:timing ->
+  graph:Granii_graph.Graph.t -> bindings:(string * value) list ->
+  input:string -> features:Granii_tensor.Dense.t list -> Plan.t ->
+  batch_report
+(** [exec_batch ~engine ~timing ~graph ~bindings ~input ~features plan]
+    executes [plan] once per feature matrix, binding it to [input], and
+    returns the outputs in request order. [bindings] must bind every other
+    plan input; a binding named [input] is ignored. Width 1 is exactly
+    {!exec}. Every feature matrix must have the graph's row count and the
+    same width: an empty batch or a mismatched shape raises
+    [Invalid_argument] before the first step runs. Otherwise raises as
+    {!exec}. With a workspace engine the outputs are valid until the
+    engine's next run. *)
 
 (** {2 Analytic estimation} *)
 

@@ -120,19 +120,19 @@ module Dense = Granii_tensor.Dense
               |> Option.map snd)
         else None
 
-  let exit_ st ~n output intermediates =
+  let exit_ st ~n outputs intermediates =
     match st with
-    | None -> (output, intermediates, 0.)
+    | None -> (outputs, intermediates, 0.)
     | Some st -> (
         match (st.reorder, st.inverse) with
         | Some r, Some inv_r ->
             let (o, ints), t =
               Granii_hw.Timer.measure_wall (fun () ->
-                  ( inverse_value r inv_r n output,
+                  ( List.map (inverse_value r inv_r n) outputs,
                     List.map
                       (fun (i, v) -> (i, inverse_value r inv_r n v))
                       intermediates ))
             in
             st.layout <- st.layout +. t;
             (o, ints, st.layout)
-        | _ -> (output, intermediates, st.layout))
+        | _ -> (outputs, intermediates, st.layout))

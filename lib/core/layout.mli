@@ -23,7 +23,8 @@ val form_of :
 (** The lookup handed to {!Dispatch.ctx}. *)
 
 val exit_ :
-  state option -> n:int -> Dispatch.value -> (int * Dispatch.value) list ->
-  Dispatch.value * (int * Dispatch.value) list * float
-(** Inverse-permute the output and intermediates back to the original
-    vertex order; returns the accumulated layout time. *)
+  state option -> n:int -> Dispatch.value list -> (int * Dispatch.value) list ->
+  Dispatch.value list * (int * Dispatch.value) list * float
+(** Inverse-permute the outputs (one per request of a batched run) and
+    intermediates back to the original vertex order; returns the
+    accumulated layout time. *)

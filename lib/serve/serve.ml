@@ -328,42 +328,31 @@ let copy_value = function
 let execute ?pool ~locality (j : job) (plan, params) =
   match j.reqs with
   | [] -> assert false
-  | [ p ] ->
-      let bindings =
-        Layer.bindings ~graph:p.gentry.graph ~h:p.features params
-      in
-      (* the width-1 path runs under the configured layout (arena + locality
-         is legal; the cache axis is off here). The batch path below stays
-         on the default layout: widening happens in the original id space,
-         and layout is bitwise-transparent, so any plan is correct there. *)
-      let cfg = { Engine.default_config with locality } in
-      let engine =
-        if j.use_arena then
-          Engine.create_exn ?pool ~workspace:p.powner.ws cfg
-        else Engine.create_exn ?pool cfg
-      in
-      let r =
-        Executor.exec ~engine ~timing:Executor.Measure ~graph:p.gentry.graph
-          ~bindings plan
-      in
-      let out =
-        if j.use_arena then copy_value r.Executor.output
-        else r.Executor.output
-      in
-      ([ out ], 0)
   | p0 :: _ as reqs ->
-      let shared =
-        List.filter
-          (fun (name, _) -> name <> "H")
-          (Layer.bindings ~graph:p0.gentry.graph ~h:p0.features params)
+      (* only a width-1 job runs under the configured layout and, when it
+         holds one, its tenant's arena (the cache axis is off here); a
+         batched job runs arena-free on the default layout *)
+      let engine =
+        match reqs with
+        | [ _ ] ->
+            let workspace = if j.use_arena then Some p0.powner.ws else None in
+            Engine.create_exn ?pool ?workspace
+              { Engine.default_config with locality }
+        | _ -> Engine.create_exn ?pool Engine.default_config
       in
-      let outs, bstats =
-        Batch.exec_batch ?pool ~graph:p0.gentry.graph ~bindings:shared
+      let graph = p0.gentry.graph in
+      let b =
+        Executor.exec_batch ~engine ~timing:Executor.Measure ~graph
+          ~bindings:(Layer.bindings ~graph ~h:p0.features params)
           ~input:"H"
           ~features:(List.map (fun p -> p.features) reqs)
           plan
       in
-      (outs, bstats.Batch.widened_steps)
+      let outs =
+        if j.use_arena then List.map copy_value b.Executor.outputs
+        else b.Executor.outputs
+      in
+      (outs, b.Executor.widened_steps)
 
 (* ---- completion (lock held) ---- *)
 

@@ -5,8 +5,10 @@
     per-tenant bounded admission queues. Requests name a registered graph, a
     model and a feature matrix; the scheduler coalesces compatible queued
     requests — same graph, model and embedding widths, {e across} tenants —
-    into one {!Batch.exec_batch} invocation and scatters the results back
-    to each request's ticket.
+    into one {!Granii_core.Executor.exec_batch} call and scatters the
+    results back to each request's ticket. Every job, whatever its width,
+    is that one executor call: batching is a property of values inside the
+    executor's step loop, not a second interpreter here.
 
     {2 Scheduler modes}
 
@@ -36,8 +38,8 @@
     Each tenant owns a private workspace arena, used only for single-request
     (width-1) executions and never shared across tenants; response values
     are copied out of the arena before the ticket completes, so a response
-    is never invalidated by a later request. Batched executions allocate
-    normally (no arena). Serving defaults to the default graph layout —
+    is never invalidated by a later request. Batched jobs run on an engine
+    without an arena. Serving defaults to the default graph layout —
     per-request reordering rarely amortizes (DESIGN.md §12) — but a config
     may opt width-1 execution into a locality axis.
 
@@ -96,9 +98,10 @@ type config = {
           cache key, so engines that localize differently never share a
           plan. Default {!Granii_core.Locality.default} — per-request
           reordering rarely amortizes (DESIGN.md §12). Batched jobs always
-          execute under the default layout (widening happens in the
-          original id space; layout is bitwise-transparent, so any cached
-          plan is correct there). *)
+          execute under the default layout. The executor would run them
+          correctly under any layout; keeping them on the default one keeps
+          every served answer as it was (layout is bitwise-transparent, so
+          any cached plan is correct there). *)
   slo_ms : float option;
       (** per-request latency objective in milliseconds; [Some ms] counts
           every completion slower than [ms] as a breach ([serve.slo.breaches]
@@ -141,7 +144,9 @@ type stats = {
   batches : int;         (** executor invocations *)
   max_width : int;
   sum_width : int;       (** [sum_width / batches] = mean batch width *)
-  widened_steps : int;   (** plan steps executed once over widened operands *)
+  widened_steps : int;
+      (** plan steps executed once over widened operands
+          ({!Granii_core.Executor.batch_report}) *)
   plan_cache : Granii_core.Plan_cache.stats;
   slo_breaches : int;    (** completions slower than [slo_ms]; [0] without
                              an SLO *)

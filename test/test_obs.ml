@@ -411,6 +411,53 @@ let test_span_sum_matches_report_iterations () =
        (fun (name, count, _) -> name = "iteration" && count = iterations)
        (Trace.aggregate t))
 
+(* A step span names the kernel that really ran. Rank-1 SDDMM has a CSR
+   and a hybrid kernel only, so under a BSR or CBM form its span still
+   says csr. *)
+let test_sddmm_span_format () =
+  let graph, bindings, _ = setup ~k_in:8 ~k_out:8 in
+  let _, compiled = Lazy.force compiled_gcn in
+  let plan =
+    (List.find
+       (fun (c : Codegen.ccand) ->
+         List.exists
+           (fun (s : Plan.step) -> s.Plan.prim = Primitive.Sddmm_rank1)
+           c.Codegen.plan.Plan.steps)
+       compiled.Codegen.candidates)
+      .Codegen.plan
+  in
+  let sddmm_formats locality =
+    let obs = Obs.create () in
+    let engine =
+      Engine.create_exn ~obs { Engine.default_config with locality }
+    in
+    ignore (Executor.exec ~engine ~timing:Executor.Measure ~graph ~bindings plan);
+    let t = match obs.Obs.trace with Some t -> t | None -> assert false in
+    match Obs.Json.parse (Trace.to_chrome_json t) with
+    | Ok (Obs.Json.List events) ->
+        List.filter_map
+          (fun ev ->
+            match (Obs.Json.member "name" ev, Obs.Json.member "args" ev) with
+            | Some (Obs.Json.Str "sddmm_rank1"), Some args -> (
+                match Obs.Json.member "format" args with
+                | Some (Obs.Json.Str f) -> Some f
+                | _ -> None)
+            | _ -> None)
+          events
+    | _ -> Alcotest.fail "chrome trace is not a JSON list"
+  in
+  List.iter
+    (fun (format, expected) ->
+      let locality = { Locality.strategy = G.Reorder.Identity; format } in
+      let spec = Locality.config_to_string locality in
+      let formats = sddmm_formats locality in
+      check_true (spec ^ ": the rank-1 step is traced") (formats <> []);
+      List.iter
+        (fun f ->
+          Alcotest.(check string) (spec ^ ": rank-1 span format") expected f)
+        formats)
+    [ (Locality.Cbm, "csr"); (Locality.Bsr, "csr"); (Locality.Hybrid, "hybrid") ]
+
 let test_telemetry_describe_roundtrip () =
   let cfg = { Engine.default_config with telemetry = true } in
   let s = Engine.describe_config cfg in
@@ -447,4 +494,6 @@ let suite =
     Alcotest.test_case "span sum reconciles across iterations" `Quick
       test_span_sum_matches_report_iterations;
     Alcotest.test_case "telemetry describe round-trip" `Quick
-      test_telemetry_describe_roundtrip ]
+      test_telemetry_describe_roundtrip;
+    Alcotest.test_case "rank-1 span names the kernel that ran" `Quick
+      test_sddmm_span_format ]

@@ -18,7 +18,6 @@ module G = Granii_graph
 module Mp = Granii_mp
 module Gnn = Granii_gnn
 module Serve = Granii_serve.Serve
-module Batch = Granii_serve.Batch
 module Plan_cache = Granii_core.Plan_cache
 module Obs = Granii_obs.Obs
 
@@ -93,60 +92,149 @@ let test_plan_cache_unit () =
 
 (* ---- the batching legality rule, pinned differentially ---- *)
 
-(* For every model: a direct Batch.exec_batch over B feature matrices must
-   be bitwise identical to B sequential Executor.exec calls on the same
-   plan — the widened steps (SpMM over a [n x B*k] RHS, elementwise maps)
-   may not perturb a single bit. *)
-let test_batch_differential () =
-  let graph = small_graph () in
+let copy_value = function
+  | Executor.Vdense d ->
+      Executor.Vdense
+        (Dense.of_flat ~rows:d.Dense.rows ~cols:d.Dense.cols
+           (Array.copy d.Dense.data))
+  | Executor.Vsparse m -> (
+      match m.Granii_sparse.Csr.values with
+      | None -> Executor.Vsparse m
+      | Some v ->
+          Executor.Vsparse (Granii_sparse.Csr.with_values m (Array.copy v)))
+  | Executor.Vdiag d -> Executor.Vdiag (Array.copy d)
+
+let batch_models = [ "gcn"; "gin"; "sgc"; "tagcn"; "gat"; "sage" ]
+
+(* Every model's selected plan with its shared bindings (no "H"). *)
+let batch_setup graph ~k_in ~k_out =
   let feats = Featurizer.extract graph in
-  let b = 3 in
-  List.iter
+  List.map
     (fun model_name ->
-      let model = Mp.Mp_models.find model_name in
-      let low, compiled = Test_engine.compile_model model in
-      let k_in = 8 and k_out = 4 in
-      let env, bindings =
-        Test_engine.setup_bindings ~k_in ~k_out low graph
+      let low, compiled =
+        Test_engine.compile_model (Mp.Mp_models.find model_name)
       in
+      let env, bindings = Test_engine.setup_bindings ~k_in ~k_out low graph in
       let lc =
         Selector.select_localized
           ~oracle:(Cost_oracle.analytic Granii_hw.Hw_profile.cpu)
           ~feats ~env ~iterations:1 ~configs:[ Locality.default ] compiled
       in
-      let plan = lc.Selector.lchoice.Selector.candidate.Codegen.plan in
-      let shared = List.filter (fun (name, _) -> name <> "H") bindings in
-      let features =
-        List.init b (fun i ->
-            Dense.random ~seed:(100 + i) (G.Graph.n_nodes graph) k_in)
-      in
-      let outs, bstats =
-        Batch.exec_batch ~graph ~bindings:shared ~input:"H" ~features plan
-      in
-      check_int (model_name ^ ": batch width") b bstats.Batch.width;
-      check_int (model_name ^ ": one output per request") b (List.length outs);
-      List.iteri
-        (fun i (f, out) ->
-          let r =
-            Executor.exec
-              ~engine:(Engine.default ())
-              ~timing:Executor.Measure ~graph
-              ~bindings:(("H", Executor.Vdense f) :: shared)
-              plan
-          in
-          check_true
-            (Printf.sprintf "%s: request %d bitwise equal to sequential"
-               model_name i)
-            (Test_engine.value_bits_equal r.Executor.output out))
-        (List.combine features outs);
-      (* plans with batch-dependent steps must actually widen or scatter;
-         the step classes partition the plan *)
-      check_int
-        (model_name ^ ": step classes partition the plan")
-        (List.length plan.Plan.steps)
-        (bstats.Batch.shared_steps + bstats.Batch.widened_steps
-        + bstats.Batch.scattered_steps))
-    [ "gcn"; "gin"; "sgc"; "tagcn"; "gat"; "sage" ]
+      ( model_name,
+        lc.Selector.lchoice.Selector.candidate.Codegen.plan,
+        List.filter (fun (name, _) -> name <> "H") bindings ))
+    batch_models
+
+(* For every model under every engine of the grid (threads 1/2 x workspace
+   on/off x four layouts): Executor.exec_batch over B = 3 feature matrices
+   must give each request bitwise the output of a per-request Executor.exec
+   on the same engine — the widened steps (SpMM over a [n x B*k] RHS in
+   every format, elementwise maps) may not perturb a single bit — and
+   B = 1 must be bitwise exec. *)
+let test_batch_differential () =
+  let graph = small_graph () in
+  let n = G.Graph.n_nodes graph in
+  let k_in = 8 and k_out = 4 in
+  let models = batch_setup graph ~k_in ~k_out in
+  let features =
+    List.init 3 (fun i -> Dense.random ~seed:(100 + i) n k_in)
+  in
+  let layout strategy format = { Locality.strategy; format } in
+  let layouts =
+    [ layout G.Reorder.Identity Locality.Csr;
+      layout G.Reorder.Degree_sort Locality.Cbm;
+      layout G.Reorder.Bfs Locality.Hybrid;
+      layout G.Reorder.Identity Locality.Bsr ]
+  in
+  List.iter
+    (fun threads ->
+      List.iter
+        (fun workspace ->
+          List.iter
+            (fun locality ->
+              let cfg =
+                { Engine.default_config with threads; workspace; locality }
+              in
+              let engine = Engine.create_exn cfg in
+              let where = Engine.describe_config cfg in
+              let widened = ref 0 in
+              List.iter
+                (fun (model_name, plan, shared) ->
+                  let exec f =
+                    (Executor.exec ~engine ~timing:Executor.Measure ~graph
+                       ~bindings:(("H", Executor.Vdense f) :: shared)
+                       plan)
+                      .Executor.output
+                    |> copy_value
+                  in
+                  let sequential = List.map exec features in
+                  let b =
+                    Executor.exec_batch ~engine ~timing:Executor.Measure
+                      ~graph ~bindings:shared ~input:"H" ~features plan
+                  in
+                  check_int
+                    (Printf.sprintf "%s under %s: one output per request"
+                       model_name where)
+                    3 (List.length b.Executor.outputs);
+                  List.iteri
+                    (fun i (seq, out) ->
+                      check_true
+                        (Printf.sprintf
+                           "%s under %s: request %d bitwise equal to exec"
+                           model_name where i)
+                        (Test_engine.value_bits_equal seq out))
+                    (List.combine sequential b.Executor.outputs);
+                  widened := !widened + b.Executor.widened_steps;
+                  let one =
+                    Executor.exec_batch ~engine ~timing:Executor.Measure
+                      ~graph ~bindings:shared ~input:"H"
+                      ~features:[ List.hd features ] plan
+                  in
+                  check_int
+                    (Printf.sprintf "%s under %s: width 1 widens nothing"
+                       model_name where)
+                    0 one.Executor.widened_steps;
+                  check_true
+                    (Printf.sprintf "%s under %s: width 1 bitwise equal to exec"
+                       model_name where)
+                    (match one.Executor.outputs with
+                    | [ out ] ->
+                        Test_engine.value_bits_equal (List.hd sequential) out
+                    | _ -> false))
+                models;
+              check_true (where ^ ": some step widened") (!widened > 0);
+              Engine.shutdown engine)
+            layouts)
+        [ false; true ])
+    [ 1; 2 ]
+
+(* A malformed batch is rejected before the first step runs: nothing is
+   traced, not even the run's own span. *)
+let test_batch_rejects_bad_features () =
+  let graph = small_graph () in
+  let n = G.Graph.n_nodes graph in
+  let _, plan, shared =
+    List.hd (batch_setup graph ~k_in:8 ~k_out:4)
+  in
+  let obs = Obs.create () in
+  let engine = Engine.create_exn ~obs Engine.default_config in
+  let rejects what features =
+    check_true (what ^ " raises Invalid_argument")
+      (try
+         ignore
+           (Executor.exec_batch ~engine ~timing:Executor.Measure ~graph
+              ~bindings:shared ~input:"H" ~features plan);
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejects "an empty batch" [];
+  rejects "a wrong row count"
+    [ Dense.random ~seed:1 n 8; Dense.random ~seed:2 (n + 1) 8 ];
+  rejects "a wrong row count at width 1" [ Dense.random ~seed:3 (n - 1) 8 ];
+  rejects "mixed widths" [ Dense.random ~seed:4 n 8; Dense.random ~seed:5 n 7 ];
+  match obs.Obs.trace with
+  | Some t -> check_int "no span was opened" 0 (Obs.Trace.count t)
+  | None -> Alcotest.fail "the sink traces"
 
 (* ---- coalescing: N queued requests, one executor invocation ---- *)
 
@@ -628,6 +716,8 @@ let suite =
       test_plan_cache_unit;
     Alcotest.test_case "batching legality: batch bitwise = sequential" `Quick
       test_batch_differential;
+    Alcotest.test_case "batched execution rejects bad features" `Quick
+      test_batch_rejects_bad_features;
     Alcotest.test_case "coalescing: N requests, one invocation" `Quick
       test_coalescing;
     Alcotest.test_case "exact graph identity: no cross-graph coalescing"
